@@ -1,16 +1,1 @@
 """The paper's algorithm suite: CycleRank plus six baselines."""
-from repro.core.cyclerank import cycle_counts, cyclerank
-from repro.core.pagerank import cheirank, pagerank
-from repro.core.ppr import personalized_cheirank, personalized_pagerank
-from repro.core.tdrank import personalized_twodrank, twodrank
-
-__all__ = [
-    "cyclerank",
-    "cycle_counts",
-    "pagerank",
-    "cheirank",
-    "personalized_pagerank",
-    "personalized_cheirank",
-    "twodrank",
-    "personalized_twodrank",
-]

@@ -1,4 +1,5 @@
-"""Ranking helpers shared by the algorithms and experiment harnesses.
+"""Ranking helpers shared by the algorithms, the scheduler and the
+experiment harnesses.
 
 Ties are always broken by ascending vertex id so every ranking in the
 reproduction is deterministic (the paper's tables are single fixed
@@ -6,6 +7,7 @@ orderings).
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -31,29 +33,25 @@ def ranks(scores: DataFrame, *, ascending: bool = False) -> DataFrame:
     return scores.select("id", "score", F.row_number().over(w).alias("rank"))
 
 
-def top_k(scores: DataFrame, k: int) -> DataFrame:
-    """Top-``k`` rows by score (descending, id tie-break), with ``rank``."""
-    return ranks(scores).filter(F.col("rank") <= k)
+def top_k(g: DiGraph, scores: DataFrame, k: int) -> pd.DataFrame:
+    """The ``k`` best vertices of ``g`` by score, named and ranked.
 
+    One sorted ``limit`` (score descending, id tie-break) brings the rows
+    to the driver, where they are numbered ``rank = 1..n``. This is the
+    only top-k in the product: the scheduler stores it and the table
+    harnesses read their columns from it.
 
-def top_k_names(g: DiGraph, scores: DataFrame, k: int) -> list[str]:
-    """The top-``k`` vertex *names*, rank order — the paper's table rows."""
-    rows = (
-        g.with_names(top_k(scores, k))
-        .orderBy("rank")
-        .select("name")
-        .collect()
+    Returns:
+        pandas ``(id, score, rank, name)`` in rank order.
+    """
+    top = (
+        g.with_names(scores.select("id", "score"))
+        .orderBy(F.col("score").desc(), F.col("id").asc())
+        .limit(k)
+        .toPandas()
     )
-    return [r["name"] for r in rows]
-
-
-def topk_overlap(a: list, b: list) -> float:
-    """|A ∩ B| / k for two equal-length top-k lists (order ignored)."""
-    if len(a) != len(b):
-        raise ValueError(f"lists must have equal length ({len(a)} vs {len(b)})")
-    if not a:
-        return 1.0
-    return len(set(a) & set(b)) / len(a)
+    top.insert(2, "rank", range(1, len(top) + 1))
+    return top
 
 
 def contamination(topk: list, contaminants: set) -> float:

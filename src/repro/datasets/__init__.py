@@ -1,15 +1,1 @@
 """Synthetic stand-ins for the paper's datasets (see DESIGN.md)."""
-from repro.datasets.amazon import amazon
-from repro.datasets.builder import ClusterSpec, LabeledGraph, build_strata_graph
-from repro.datasets.twitter import twitter, twitter_interactions
-from repro.datasets.wikilink import wikilink
-
-__all__ = [
-    "LabeledGraph",
-    "ClusterSpec",
-    "build_strata_graph",
-    "wikilink",
-    "amazon",
-    "twitter",
-    "twitter_interactions",
-]

@@ -1,4 +1,1 @@
 """Experiment harnesses reproducing the paper's evaluation tables."""
-from repro.experiments.tables import TableResult, table1, table2, table3
-
-__all__ = ["TableResult", "table1", "table2", "table3"]

@@ -5,7 +5,7 @@ grid on the corresponding synthetic dataset and returns a
 :class:`TableResult`: the same top-5 columns the paper prints, plus the
 quantitative *shape metrics* (planted-hub contamination per column)
 that our substitution makes measurable. ``jobs/tableN.py`` wraps each
-for spark-submit; ``benchmarks/bench_tableN.py`` times them;
+for spark-submit; ``benchmarks/bench_tables.py`` times them;
 ``tests/test_tables.py`` asserts the shape claims.
 
 Conventions from the paper:
@@ -79,14 +79,8 @@ def _top_names(
     exclude: frozenset[str] = frozenset(),
 ) -> list[str]:
     """Top-``k`` names, optionally dropping excluded ones (the ref)."""
-    rows = (
-        lg.graph.with_names(top_k(scores, k + len(exclude)))
-        .orderBy("rank")
-        .select("name")
-        .collect()
-    )
-    names = [r["name"] for r in rows if r["name"] not in exclude]
-    return names[:k]
+    names = top_k(lg.graph, scores, k + len(exclude))["name"]
+    return [n for n in names if n not in exclude][:k]
 
 
 def table1(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableResult:

@@ -1,4 +1,1 @@
 """Directed-graph substrate: DataFrame-backed graphs and file formats."""
-from repro.graph.graph import DiGraph
-
-__all__ = ["DiGraph"]

@@ -108,7 +108,8 @@ def read_asd(spark: SparkSession, path: str) -> DiGraph:
         )
     if len(pdf) != m:
         raise ValueError(f"ASD header declared {m} edges, file has {len(pdf)}")
-    if n and (pdf[["src", "dst"]].to_numpy().max(initial=0) >= n):
+    ends = pdf[["src", "dst"]].to_numpy()
+    if ends.min(initial=0) < 0 or (n and ends.max(initial=0) >= n):
         raise ValueError(f"ASD edge endpoint out of range [0, {n})")
     g = DiGraph.from_edges(spark, spark.createDataFrame(pdf))
     return g

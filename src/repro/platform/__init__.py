@@ -5,22 +5,3 @@ Datastore, API gateway (task builder / scheduler / status), Executor
 (computational nodes), and the Web UI's request cycle — as local
 components over the filesystem and a shared SparkSession.
 """
-from repro.platform.datastore import Datastore
-from repro.platform.executor import ALGORITHMS, Executor
-from repro.platform.gateway import ApiGateway
-from repro.platform.scheduler import Scheduler, TaskState
-from repro.platform.status import Status
-from repro.platform.tasks import Task, TaskBuilder, task_id
-
-__all__ = [
-    "Datastore",
-    "Executor",
-    "ALGORITHMS",
-    "ApiGateway",
-    "Scheduler",
-    "TaskState",
-    "Status",
-    "Task",
-    "TaskBuilder",
-    "task_id",
-]

@@ -41,7 +41,11 @@ def _run_personalized_twodrank(g: DiGraph, refs, **kw) -> DataFrame:
 
 def _run_cyclerank(g: DiGraph, refs, **kw) -> DataFrame:
     if not isinstance(refs, int):
-        (refs,) = refs  # CycleRank takes a single reference node
+        if len(refs) != 1:
+            raise ValueError(
+                f"cyclerank takes exactly one reference node, got {len(refs)}"
+            )
+        (refs,) = refs
     return cyclerank(g, refs, **kw)
 
 
@@ -73,10 +77,8 @@ PERSONALIZED = frozenset(
 class Executor:
     """Runs algorithm-by-name on a graph; extensible registry."""
 
-    def __init__(self, extra: dict[str, AlgorithmFn] | None = None) -> None:
+    def __init__(self) -> None:
         self._registry = dict(ALGORITHMS)
-        if extra:
-            self._registry.update(extra)
 
     def register(self, name: str, fn: AlgorithmFn) -> None:
         """Add (or replace) an algorithm."""

@@ -58,9 +58,3 @@ class ApiGateway:
     def result(self, tid: str) -> pd.DataFrame:
         """Result rows for a permalink id."""
         return self.status.result(tid)
-
-    def top_k_names(self, tid: str, k: int = 5, *, exclude: set[str] = frozenset()) -> list[str]:
-        """The first ``k`` result names (optionally skipping some, e.g.
-        the reference itself — Table II excludes it, Table I keeps it)."""
-        names = [n for n in self.result(tid)["name"] if n not in exclude]
-        return names[:k]

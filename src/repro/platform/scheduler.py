@@ -92,12 +92,7 @@ class Scheduler:
                     f"algorithm {task.algorithm!r} requires a 'refs' parameter"
                 )
             scores = self.executor.run(g, task.algorithm, **params)
-            result = (
-                g.with_names(top_k(scores, self.top_k_size))
-                .orderBy("rank")
-                .toPandas()
-            )
-            self.datastore.save_result(tid, result)
+            self.datastore.save_result(tid, top_k(g, scores, self.top_k_size))
         except Exception as exc:  # noqa: BLE001 — terminal state captures all
             self._states[tid] = TaskState.FAILED
             self._errors[tid] = f"{type(exc).__name__}: {exc}"

@@ -1,4 +1,1 @@
 """Pregel-style iterative vertex computation over DataFrames."""
-from repro.pregel.engine import PregelResult, pregel
-
-__all__ = ["pregel", "PregelResult"]

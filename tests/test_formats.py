@@ -126,6 +126,13 @@ def test_asd_out_of_range_raises(spark, tmp_path):
         read_asd(spark, str(p))
 
 
+def test_asd_negative_endpoint_raises(spark, tmp_path):
+    p = tmp_path / "n.asd"
+    p.write_text("2 1\n-1 0\n")
+    with pytest.raises(ValueError, match="out of range"):
+        read_asd(spark, str(p))
+
+
 # -- dispatch -----------------------------------------------------------
 
 

@@ -213,6 +213,15 @@ def test_failed_task_reports_error(gateway):
     assert "refs" in poll["error"]
 
 
+def test_cyclerank_with_two_refs_fails_cleanly(gateway):
+    (tid,) = gateway.submit_query_set(
+        [Task.make("twitter-cop27", "cyclerank", refs=[0, 1], k=3)]
+    )
+    poll = gateway.poll(tid)
+    assert poll["state"] == "failed"
+    assert "exactly one" in poll["error"]
+
+
 def test_unknown_dataset_fails_cleanly(gateway):
     (tid,) = gateway.submit_query_set([Task.make("ghost", "pagerank")])
     assert gateway.poll(tid)["state"] == "failed"

@@ -1,8 +1,8 @@
-"""Tests for ranking helpers (top-k, ranks, overlap metrics)."""
-import pandas as pd
+"""Tests for ranking helpers (ranks, top-k, contamination) and the
+DuckDB oracle they are checked against."""
 import pytest
 
-from repro.core.ranking import contamination, ranks, top_k, top_k_names, topk_overlap
+from repro.core.ranking import contamination, ranks, top_k
 from repro.graph.graph import DiGraph
 from repro.oracle import assert_equivalent
 
@@ -44,60 +44,57 @@ def test_ranks_oracle(spark, scores_df):
     )
 
 
-def test_top_k(scores_df):
-    got = [(r["id"], r["rank"]) for r in top_k(scores_df, 2).orderBy("rank").collect()]
-    assert got == [(0, 1), (4, 2)]
-
-
-def test_top_k_larger_than_n(scores_df):
-    assert top_k(scores_df, 99).count() == 5
-
-
-def test_top_k_oracle(spark, scores_df):
-    assert_equivalent(
-        top_k(scores_df, 3),
-        """
-        SELECT * FROM (
-            SELECT id, score,
-                   ROW_NUMBER() OVER (ORDER BY score DESC, id ASC) AS rank
-            FROM scores
-        ) WHERE rank <= 3
-        """,
-        scores=scores_df,
-    )
-
-
-def test_top_k_names(spark, scores_df):
-    g = DiGraph.from_edges(
+@pytest.fixture(scope="module")
+def named(spark):
+    return DiGraph.from_edges(
         spark,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
         names={i: f"n{i}" for i in range(5)},
     )
-    assert top_k_names(g, scores_df, 3) == ["n0", "n4", "n1"]
 
 
-# -- overlap / contamination -------------------------------------------
+def test_top_k(named, scores_df):
+    got = top_k(named, scores_df, 3)
+    assert list(got.columns) == ["id", "score", "rank", "name"]
+    assert list(zip(got["id"], got["rank"], got["name"])) == [
+        (0, 1, "n0"), (4, 2, "n4"), (1, 3, "n1")
+    ]
 
 
-def test_topk_overlap_identical():
-    assert topk_overlap(["a", "b"], ["b", "a"]) == 1.0
+def test_top_k_larger_than_n(named, scores_df):
+    assert len(top_k(named, scores_df, 99)) == 5
 
 
-def test_topk_overlap_disjoint():
-    assert topk_overlap(["a", "b"], ["c", "d"]) == 0.0
+def test_top_k_oracle(named, scores_df):
+    assert_equivalent(
+        top_k(named, scores_df, 3),
+        """
+        SELECT r.id, r.score, r.rank, v.name FROM (
+            SELECT id, score,
+                   ROW_NUMBER() OVER (ORDER BY score DESC, id ASC) AS rank
+            FROM scores
+        ) r LEFT JOIN vertices v USING (id) WHERE r.rank <= 3
+        """,
+        scores=scores_df,
+        vertices=named.vertices,
+    )
 
 
-def test_topk_overlap_partial():
-    assert topk_overlap(["a", "b", "c", "d"], ["c", "d", "e", "f"]) == 0.5
+def test_oracle_detects_wrong_result(scores_df):
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            scores_df, "SELECT id, score + 1 AS score FROM scores", scores=scores_df
+        )
 
 
-def test_topk_overlap_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        topk_overlap(["a"], ["a", "b"])
+def test_oracle_detects_column_mismatch(scores_df):
+    with pytest.raises(AssertionError, match="column mismatch"):
+        assert_equivalent(
+            scores_df, "SELECT id, score AS wrong_name FROM scores", scores=scores_df
+        )
 
 
-def test_topk_overlap_empty():
-    assert topk_overlap([], []) == 1.0
+# -- contamination ------------------------------------------------------
 
 
 @pytest.mark.parametrize(
