@@ -1,5 +1,6 @@
 import os
 import sys
+import uuid
 
 
 def _driver_mem() -> str:
@@ -83,3 +84,21 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def count_jobs(spark):
+    """``count_jobs(fn)`` calls ``fn()`` under a job group of its own and
+    returns how many Spark jobs it started."""
+    sc = spark.sparkContext
+
+    def run(fn) -> int:
+        group = f"count-jobs-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return run

@@ -12,7 +12,7 @@ graph, ranking by outgoing instead of incoming connections.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.graph import DiGraph
@@ -26,14 +26,13 @@ def _power_iteration(
     max_iter: int,
     tol: float,
 ) -> DataFrame:
-    """Shared PR/PPR power iteration.
+    """Shared PR/PPR power iteration on the pregel engine.
 
-    Dangling mass is redistributed along the teleport vector. Rather
-    than summing dangling vertices' scores every superstep, we use the
-    identity ``α·d = 1 − Σy`` where ``y = (1−α)t + α·A·x`` — the full
-    update is ``x' = y + (1 − Σy)·t``, one aggregate over the already-
-    checkpointed ``y`` (pregel's ``finalize`` hook). Graphs with no
-    dangling vertices skip the aggregate entirely.
+    Each superstep computes ``x' = (1 − α + α·d)·t + α·A·x``, where ``t``
+    is the teleport vector and ``d`` the mass on dangling vertices
+    (those with no out-edges), which teleports along ``t``. ``d`` is a
+    pregel aggregator: it is summed over the state that a superstep
+    produces, in the same Spark job, and used by the next superstep.
 
     Args:
         g: the graph.
@@ -47,65 +46,43 @@ def _power_iteration(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = g.num_vertices()
-    if n == 0:
-        raise ValueError("graph has no vertices")
-
-    deg = g.out_degrees()
     if teleport is None:
+        n = g.num_vertices()
+        if n == 0:
+            raise ValueError("graph has no vertices")
         tele = g.vertices.select("id", F.lit(1.0 / n).alias("tele"))
     else:
         tele = g.vertices.select("id").join(
             teleport.select("id", "tele"), "id", "left"
         ).select("id", F.coalesce("tele", F.lit(0.0)).alias("tele"))
-    # State carries (id, value, out_degree, tele) so each superstep is a
-    # single join against the edge frame. The walk starts from the
-    # teleport vector (uniform for PR): nodes unreachable from the
-    # reference set then stay at exactly 0 instead of holding a slowly
-    # decaying α^k residual of a uniform start.
-    state = (
-        tele.select("id", F.col("tele").alias("value"))
-        .join(deg, "id")
-        .join(tele, "id")
-        .localCheckpoint(eager=True)
-    )
-    edges = g.edges.localCheckpoint(eager=True)
-    has_dangling = not state.filter(F.col("out_degree") == 0).isEmpty()
+    # The walk starts from the teleport vector (uniform for PR): nodes
+    # unreachable from the reference set then stay at exactly 0 instead
+    # of holding a slowly decaying α^k residual of a uniform start.
+    state = tele.select("id", F.col("tele").alias("value"), "tele")
 
-    def send(joined: DataFrame) -> DataFrame:
-        return joined.select(
+    def send(out_edges: DataFrame) -> DataFrame:
+        return out_edges.select(
             "dst", (F.col("value") / F.col("out_degree")).alias("msg")
         )
 
-    def update(cur: DataFrame, msgs: DataFrame) -> DataFrame:
-        return cur.join(msgs, "id", "left").select(
-            "id",
-            (
-                (1.0 - alpha) * F.col("tele")
-                + alpha * F.coalesce(F.col("msg"), F.lit(0.0))
-            ).alias("value"),
-            "out_degree",
-            "tele",
-        )
+    tele_col = F.col("tele")
+    followed = alpha * F.coalesce(F.col("msg"), F.lit(0.0))
 
-    def renormalize(y: DataFrame) -> DataFrame:
-        missing = 1.0 - (y.agg(F.sum("value")).first()[0] or 0.0)
-        return y.select(
-            "id",
-            (F.col("value") + missing * F.col("tele")).alias("value"),
-            "out_degree",
-            "tele",
-        )
+    def update(agg: dict[str, float]) -> Column:
+        return (1.0 - alpha + alpha * agg["dangling"]) * tele_col + followed
 
     res = pregel(
         state,
-        edges,
+        g.edges,
         send,
         update,
-        finalize=renormalize if has_dangling else None,
+        aggregators={
+            "dangling": F.sum(
+                F.when(F.size("out") == 0, F.col("value")).otherwise(0.0)
+            )
+        },
         max_iter=max_iter,
         tol=tol,
-        check_every=5,
     )
     return res.state.select("id", F.col("value").alias("score"))
 

@@ -1,28 +1,36 @@
 """A GraphX-Pregel-style superstep engine over Spark DataFrames.
 
 GraphX is JVM-only and unavailable from PySpark without external
-packages, so this module reimplements the superstep model with
-DataFrame joins and aggregations (the standard PySpark idiom for
-iterative vertex programs):
+packages, so this module reimplements the superstep model of Pregel
+(Malewicz et al., SIGMOD 2010) with DataFrame operations:
 
-each superstep:
-  1. **send**: join the vertex-state frame with the edge frame and emit
-     one message per edge (``send_msg`` builds the message column);
-  2. **aggregate**: group messages by destination and combine them
-     (``agg_msgs``, default ``sum``);
-  3. **update**: join aggregated messages back to vertex state and
-     produce the next state (``update``).
+* **Vertices own their out-edges.** Before the first superstep the edge
+  list is grouped into an ``out`` array per vertex (empty for sinks) and
+  stored in the vertex state, so sending needs no join.
+* **One shuffle per superstep.** Each vertex emits one message per
+  element of ``explode(out)`` (``send_msg``). The messages are unioned
+  with the vertices' own rows and reduced by a single ``groupBy("id")``
+  that keeps the state (``first`` non-null) and combines the messages
+  (``agg_msgs``). The vertex program (``update``) then computes the new
+  value from the state columns and ``msg``. Groups without a state row
+  are dropped: messages to unknown ids vanish.
+* **Aggregators.** Global values (``aggregators``) and the L1 delta
+  between successive values are computed with ``DataFrame.observe``
+  inside the eager ``localCheckpoint`` that ends the superstep, so they
+  cost no extra Spark job. Values aggregated in superstep S are handed
+  to ``update`` in superstep S+1; the delta is exact and is checked
+  after every superstep.
 
-Convergence is the L1 distance between successive state vectors.
-Every iteration truncates lineage with ``localCheckpoint`` — without
-this, 30+ chained joins make Catalyst analysis time explode.
+The checkpoint also truncates lineage: without it, 30+ chained
+supersteps make Catalyst analysis time explode. A superstep thus runs
+two Spark jobs, the shuffle-map stage and the checkpoint.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
 
 
@@ -31,10 +39,11 @@ class PregelResult:
     """Outcome of a pregel run.
 
     Attributes:
-        state: final vertex-state DataFrame ``(id, value)``.
+        state: final vertex-state DataFrame, with the columns of the
+            initial state.
         iterations: supersteps executed.
-        delta: final L1 distance between the last two states
-            (``float('inf')`` if only one iteration ran with no check).
+        delta: exact L1 distance between the values of the last two
+            states.
         converged: whether ``delta <= tol`` stopped the loop (as opposed
             to hitting ``max_iter``).
     """
@@ -49,75 +58,113 @@ def pregel(
     state: DataFrame,
     edges: DataFrame,
     send_msg: Callable[[DataFrame], DataFrame],
-    update: Callable[[DataFrame, DataFrame], DataFrame],
+    update: Callable[[dict[str, float]], Column],
     *,
-    finalize: Callable[[DataFrame], DataFrame] | None = None,
+    aggregators: dict[str, Column] | None = None,
     agg_msgs: Callable[[Column], Column] = F.sum,
     max_iter: int = 50,
     tol: float = 1e-9,
-    check_every: int = 1,
 ) -> PregelResult:
     """Run supersteps until convergence or ``max_iter``.
 
     Args:
         state: initial vertex state, columns ``(id, value)`` with
-            ``value`` double.
-        edges: edge frame, columns ``(src, dst)``.
-        send_msg: maps the frame ``state ⋈ edges`` (columns ``id``,
-            ``value``, plus any state columns, and ``dst``) to a frame
-            ``(dst, msg)`` — one message per edge.
-        update: maps ``(state, msgs)`` — where ``msgs`` has columns
-            ``(id, msg)``, one row per vertex that received messages —
-            to the next state frame ``(id, value, ...)``.
-        finalize: optional cheap post-step applied to the *checkpointed*
-            update result (e.g. PageRank's dangling-mass renormalization,
-            which needs an aggregate of the new state). Runs inside the
-            superstep but outside the checkpoint, so aggregates it
-            triggers don't recompute the join.
+            ``value`` double, plus any other columns, which are carried
+            unchanged. The names ``out``, ``out_degree``, ``dst`` and
+            ``msg`` are the engine's.
+        edges: edge frame, columns ``(src, dst)``; edges whose ``src``
+            has no state row are ignored.
+        send_msg: maps the out-edge rows (the state columns, ``dst`` and
+            ``out_degree``, one row per edge) to a frame ``(dst, msg)``.
+        update: the vertex program. Given the previous superstep's
+            aggregator values by name, returns the ``Column`` of the new
+            ``value`` over the state columns and ``msg`` (null for a
+            vertex that received no message).
+        aggregators: global aggregate columns over the state (the state
+            columns and ``out``), by name. Each is evaluated on the state
+            a superstep produces (and on the initial state) and passed
+            to ``update`` in the next superstep.
         agg_msgs: aggregate applied to the per-destination ``msg``
             column (default: sum).
-        max_iter: superstep cap.
-        tol: L1 convergence threshold.
-        check_every: compute the (action-triggering) L1 delta only every
-            this many supersteps.
+        max_iter: superstep cap, at least 1.
+        tol: L1 convergence threshold, at least 0.
 
     Returns:
         A :class:`PregelResult`.
+
+    Raises:
+        ValueError: ``max_iter < 1`` or ``tol < 0``; raised before any
+            Spark job runs.
     """
-    cur = state.localCheckpoint(eager=True)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if tol < 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    columns = state.columns
+    fields = [c for c in columns if c != "id"]
+    out = edges.groupBy(F.col("src").alias("id")).agg(
+        F.collect_list("dst").alias("out")
+    )
+    cur = state.join(out, "id", "left").withColumn(
+        "out", F.coalesce("out", F.array().cast("array<long>"))
+    )
+    stored = (*columns, "out")
+    named = [c.alias(k) for k, c in (aggregators or {}).items()]
+    cur, aggs = _checkpoint(cur, named, stored)
+    # Columns do not depend on the superstep: build them once, as each
+    # one is a round trip to the JVM.
+    out_edges = (
+        *columns,
+        F.explode("out").alias("dst"),
+        F.size("out").alias("out_degree"),
+    )
+    to_id = (F.col("dst").alias("id"), "msg")
+    reduce = (
+        *(F.first(c, ignorenulls=True).alias(c) for c in (*fields, "out")),
+        agg_msgs(F.col("msg")).alias("msg"),
+    )
+    has_state = F.col("out").isNotNull()
+    value = F.col("value")
+    metrics = [F.sum("_change").alias("_delta"), *named]
     delta = float("inf")
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        joined = cur.join(edges, cur["id"] == edges["src"], "inner")
-        msgs = (
-            send_msg(joined)
-            .groupBy(F.col("dst").alias("id"))
-            .agg(agg_msgs(F.col("msg")).alias("msg"))
+        msgs = send_msg(cur.select(*out_edges)).select(*to_id)
+        grouped = (
+            cur.unionByName(msgs, allowMissingColumns=True)
+            .groupBy("id")
+            .agg(*reduce)
+            .filter(has_state)
         )
-        nxt = update(cur, msgs).localCheckpoint(eager=True)
-        if finalize is not None:
-            nxt = finalize(nxt)
-        if it % check_every == 0 or it == max_iter:
-            delta = (
-                nxt.alias("n")
-                .join(cur.alias("c"), "id", "outer")
-                .select(
-                    F.abs(
-                        F.coalesce(F.col("n.value"), F.lit(0.0))
-                        - F.coalesce(F.col("c.value"), F.lit(0.0))
-                    ).alias("d")
-                )
-                .agg(F.sum("d"))
-                .first()[0]
-                or 0.0
-            )
-            if delta <= tol:
-                cur = nxt
-                converged = True
-                break
-        cur = nxt
-    return PregelResult(state=cur, iterations=it, delta=delta, converged=converged)
+        new = update(aggs)
+        nxt = grouped.select(
+            "id",
+            *(new.alias(c) if c == "value" else c for c in fields),
+            "out",
+            F.abs(new - value).alias("_change"),
+        )
+        cur, aggs = _checkpoint(nxt, metrics, stored)
+        delta = aggs.pop("_delta") or 0.0
+        if delta <= tol:
+            converged = True
+            break
+    return PregelResult(
+        state=cur.select(*columns), iterations=it, delta=delta, converged=converged
+    )
+
+
+def _checkpoint(
+    df: DataFrame, metrics: list[Column], keep: tuple[str, ...]
+) -> tuple[DataFrame, dict[str, float]]:
+    """Materialise the ``keep`` columns of ``df`` with an eager
+    ``localCheckpoint`` and return them with ``metrics`` (named aggregate
+    columns over ``df``) by name, observed in the same Spark job."""
+    if not metrics:
+        return df.select(*keep).localCheckpoint(eager=True), {}
+    obs = Observation()
+    observed = df.observe(obs, *metrics)
+    return observed.select(*keep).localCheckpoint(eager=True), obs.get
 
 
 def iterate_frontier(

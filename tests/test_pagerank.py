@@ -143,3 +143,17 @@ def test_cheirank_is_pagerank_on_transpose(spark):
     }
     for v in a:
         assert a[v] == pytest.approx(b[v], abs=1e-9)
+
+
+#: Spark jobs PageRank starts outside its supersteps: 4 for the vertex
+#: count, 5 for the initial checkpoint, which dedupes the edges, groups
+#: them into out-edge lists and joins them to the vertex state.
+SETUP_JOBS = 9
+
+
+def test_two_spark_jobs_per_superstep(spark, count_jobs):
+    """A superstep is one shuffle-map job plus the checkpoint; dangling
+    mass and the L1 delta are observed in the checkpoint."""
+    g = DiGraph.from_edges(spark, DANGLING_CHAIN)
+    jobs = count_jobs(lambda: pagerank(g, max_iter=10, tol=0.0))
+    assert jobs <= 2 * 10 + SETUP_JOBS

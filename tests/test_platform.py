@@ -222,6 +222,15 @@ def test_cyclerank_with_two_refs_fails_cleanly(gateway):
     assert "exactly one" in poll["error"]
 
 
+def test_pagerank_without_supersteps_fails_cleanly(gateway):
+    (tid,) = gateway.submit_query_set(
+        [Task.make("twitter-cop27", "pagerank", max_iter=0)]
+    )
+    poll = gateway.poll(tid)
+    assert poll["state"] == "failed"
+    assert "max_iter" in poll["error"]
+
+
 def test_unknown_dataset_fails_cleanly(gateway):
     (tid,) = gateway.submit_query_set([Task.make("ghost", "pagerank")])
     assert gateway.poll(tid)["state"] == "failed"

@@ -17,14 +17,12 @@ def _edges(spark, edges):
     return spark.createDataFrame(edges, "src long, dst long")
 
 
-def _send_value(joined):
-    return joined.select("dst", F.col("value").alias("msg"))
+def _send_value(out_edges):
+    return out_edges.select("dst", F.col("value").alias("msg"))
 
 
-def _replace_with_msg(cur, msgs):
-    return cur.drop("value").join(msgs, "id", "left").select(
-        "id", F.coalesce("msg", F.lit(0.0)).alias("value")
-    )
+def _replace_with_msg(_aggs):
+    return F.coalesce("msg", F.lit(0.0))
 
 
 def test_one_superstep_rotates_cycle(spark):
@@ -97,19 +95,65 @@ def test_vertex_without_messages_keeps_update_semantics(spark):
     assert got[1] == 5.0
 
 
-def test_finalize_applied_each_superstep(spark):
-    """A finalize that doubles values composes with the superstep."""
+def test_aggregator_seen_by_next_superstep(spark):
+    """A sum aggregated over the state of superstep S (the initial state
+    for S=0) is the value every vertex takes in superstep S+1."""
+    seen = []
+
+    def become_total(aggs):
+        seen.append(aggs["total"])
+        return F.lit(aggs["total"])
+
     res = pregel(
-        _state(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
+        _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
         _edges(spark, CYCLE4),
         _send_value,
-        _replace_with_msg,
-        finalize=lambda df: df.select("id", (F.col("value") * 2).alias("value")),
+        become_total,
+        aggregators={"total": F.sum("value")},
         max_iter=2,
         tol=0.0,
     )
+    assert seen == [10.0, 40.0]
     got = {r["id"]: r["value"] for r in res.state.collect()}
-    assert got == {0: 4.0, 1: 4.0, 2: 4.0, 3: 4.0}
+    assert got == {0: 40.0, 1: 40.0, 2: 40.0, 3: 40.0}
+
+
+def test_messages_to_unknown_ids_dropped(spark):
+    """Edges into an id without a state row carry messages nowhere: the
+    id does not appear in the next state."""
+    res = pregel(
+        _state(spark, {0: 1.0, 1: 2.0}),
+        _edges(spark, [(0, 1), (1, 0), (1, 9)]),
+        _send_value,
+        _replace_with_msg,
+        max_iter=1,
+    )
+    got = {r["id"]: r["value"] for r in res.state.collect()}
+    assert got == {0: 2.0, 1: 1.0}
+
+
+def test_delta_exact_after_one_superstep(spark):
+    """Rotating 1, 2, 3, 4 on CYCLE4 changes the values by 3+1+1+1."""
+    res = pregel(
+        _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
+        _edges(spark, CYCLE4),
+        _send_value,
+        _replace_with_msg,
+        max_iter=1,
+    )
+    assert res.delta == 6.0
+    assert not res.converged
+
+
+@pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}])
+def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
+    state, edges = _state(spark, {0: 1.0}), _edges(spark, [(0, 0)])
+
+    def run():
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            pregel(state, edges, _send_value, _replace_with_msg, **kw)
+
+    assert count_jobs(run) == 0
 
 
 def test_agg_max_messages(spark):
