@@ -5,7 +5,8 @@ English wikilink graph. The paper's demo motivation — CycleRank's
 locality (after (K−1)-ball pruning its cost depends on the reference's
 neighbourhood, not the graph size) vs the global power iterations — is
 visible directly in these timings. PageRank and PPR are also checked
-against the dense NumPy power iteration (|Δ|∞ < 1e-6).
+against the dense NumPy power iteration (|Δ|∞ < 1e-6), CycleRank against
+the DFS reference (|Δ|∞ < 1e-9).
 """
 import pytest
 
@@ -13,7 +14,7 @@ from repro.core.cyclerank import cyclerank
 from repro.core.pagerank import pagerank
 from repro.core.ppr import personalized_pagerank
 from repro.datasets.wikilink import wikilink
-from repro.reference import pagerank_ref
+from repro.reference import cyclerank_ref, pagerank_ref
 
 SCALE = 2.0
 
@@ -31,10 +32,10 @@ def wiki_edges(wiki):
     return [(r["src"], r["dst"]) for r in wiki.graph.edges.collect()]
 
 
-def _assert_matches_reference(rows, want):
+def _assert_matches_reference(rows, want, tol=1e-6):
     got = {r["id"]: r["score"] for r in rows}
     assert set(got) == set(want)
-    assert max(abs(got[v] - want[v]) for v in want) < 1e-6
+    assert max(abs(got[v] - want[v]) for v in want) < tol
 
 
 def test_bench_pagerank(benchmark, wiki, wiki_edges):
@@ -57,9 +58,10 @@ def test_bench_ppr(benchmark, wiki, wiki_edges):
 
 
 @pytest.mark.parametrize("k", [3, 5])
-def test_bench_cyclerank(benchmark, wiki, k):
+def test_bench_cyclerank(benchmark, wiki, wiki_edges, k):
     ref = wiki.id_of("Freddie Mercury")
     out = benchmark.pedantic(
         lambda: cyclerank(wiki.graph, ref, k=k).collect(), rounds=1, iterations=1
     )
     assert len(out) == wiki.graph.num_vertices()
+    _assert_matches_reference(out, cyclerank_ref(wiki_edges, ref, k), tol=1e-9)

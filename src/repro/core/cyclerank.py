@@ -6,121 +6,100 @@ the number of simple cycles of length ``n`` (edges) that contain both
 the reference ``r`` and node ``i``. By construction the reference node
 lies on every counted cycle and so receives the maximum score.
 
-**Enumeration.** Every simple cycle through ``r`` has exactly one
-representation as a path ``r → v₁ → … → v_{n-1} → r`` with distinct
-``vᵢ ≠ r``, so we enumerate paths out of ``r`` by iterative DataFrame
-self-joins against the edge frame, carrying the visited set as an
-``array<long>`` column. A path closes into a cycle when an edge back to
-``r`` exists; open paths extend only to unvisited, non-reference nodes
-while they can still close within ``K`` edges.
-
 **Pruning.** Any node on a cycle of length ≤ K lies within forward
-distance K−1 of ``r`` *and* within backward distance K−1 — so before
+distance K−1 of ``r`` *and* within backward distance K−1, so before
 enumerating we restrict the graph to the intersection of the two
 (K−1)-balls around ``r`` (the same pruning the reference C++
-implementation applies). Nodes outside the ball score 0.
+implementation applies). Both balls come from one two-way BFS in Spark
+(:func:`~repro.pregel.engine.iterate_frontier`), and the ids in both are
+collected. Nodes outside the ball score 0.
+
+**Enumeration.** The pruned ball is local to ``r`` and small, so its
+edges are collected to the driver, where a depth-first search counts the
+simple cycles through ``r``. Every such cycle has exactly one representation
+as a path ``r → v₁ → … → v_{n-1} → r`` with distinct ``vᵢ ≠ r``; the
+search extends a path only to nodes not on it, and the stack is at most
+K deep. σ is applied on the driver and the scores return to Spark.
 """
 from __future__ import annotations
 
+from collections import Counter
+
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.scoring import ScoringFn, sigma_column
+from repro.core.scoring import ScoringFn, get_scoring
 from repro.graph.graph import DiGraph
 from repro.pregel.engine import iterate_frontier
 
 
-def _check_ref(g: DiGraph, ref: int) -> None:
-    if g.vertices.filter(F.col("id") == ref).isEmpty():
-        raise KeyError(f"reference node {ref} not in graph")
-
-
 def prune_to_k_ball(g: DiGraph, ref: int, k: int) -> DiGraph:
     """Induced subgraph on nodes within forward AND backward distance
-    ``k-1`` of ``ref`` — a superset of all nodes on cycles of length ≤ k
-    through ``ref``."""
-    spark = g.vertices.sparkSession
-    seed = spark.createDataFrame([(int(ref),)], "id long")
-    fwd = iterate_frontier(seed, g.edges, max_depth=k - 1, direction="out")
-    bwd = iterate_frontier(seed, g.edges, max_depth=k - 1, direction="in")
-    return g.subgraph(fwd.join(bwd, "id"))
+    ``k-1`` of ``ref``: a superset of all nodes on cycles of length ≤ k
+    through ``ref``.
 
-
-def _closed_paths(g: DiGraph, ref: int, k: int) -> DataFrame:
-    """All simple cycles through ``ref`` of length 2..k.
-
-    Returns:
-        DataFrame ``(path: array<long>, length: int)`` — ``path`` holds
-        the ``length`` distinct nodes of the cycle starting with
-        ``ref`` (the closing edge back to ``ref`` is implicit).
+    Raises:
+        KeyError: ``ref`` is not a vertex of ``g``.
     """
-    edges = g.edges.filter(F.col("src") != F.col("dst")).localCheckpoint(eager=True)
-    # Paths of 1 edge: r -> v1, v1 != r.
-    frontier = (
-        edges.filter(F.col("src") == ref)
-        .filter(F.col("dst") != ref)
-        .select(
-            F.col("dst").alias("head"),
-            F.array(F.lit(int(ref)).cast("long"), F.col("dst")).alias("path"),
-        )
-        .localCheckpoint(eager=True)
-    )
-    closed = []
-    for n_edges in range(1, k):  # path currently has n_edges edges
-        if frontier.isEmpty():
-            break
-        ext = frontier.join(edges, frontier["head"] == edges["src"], "inner")
-        # Closing edge head -> ref completes a cycle of n_edges+1 edges.
-        closed.append(
-            ext.filter(F.col("dst") == ref).select(
-                "path", F.lit(n_edges + 1).alias("length")
-            )
-        )
-        if n_edges < k - 1:
-            frontier = (
-                ext.filter(F.col("dst") != ref)
-                .filter(~F.array_contains(F.col("path"), F.col("dst")))
-                .select(
-                    F.col("dst").alias("head"),
-                    F.array_append(F.col("path"), F.col("dst")).alias("path"),
-                )
-                .localCheckpoint(eager=True)
-            )
-    if not closed:
-        spark = g.vertices.sparkSession
-        return spark.createDataFrame([], "path array<long>, length int")
-    out = closed[0]
-    for c in closed[1:]:
-        out = out.unionByName(c)
-    return out
+    seed = g.vertices.filter(F.col("id") == ref).select("id")
+    reached = iterate_frontier(seed, g.edges, max_depth=k - 1)
+    ids = [r.id for r in reached.groupBy("id").count().filter("count = 2").collect()]
+    if ref not in ids:
+        raise KeyError(f"reference node {ref} not in graph")
+    return g.subgraph(ids)
 
 
-def cycle_counts(
-    g: DiGraph, ref: int, k: int = 3, *, prune: bool = True
-) -> DataFrame:
+def _count_cycles(
+    succ: dict[int, list[int]], ref: int, k: int
+) -> Counter[tuple[int, int]]:
+    """``(node, length) → number of simple cycles`` through ``ref`` with
+    2..k edges, by DFS over the successor lists ``succ``. Self-loops
+    close no counted cycle: one at ``ref`` has length 1, and any other
+    leads back onto the path."""
+    counts: Counter[tuple[int, int]] = Counter()
+    stack = [ref]
+    on_stack = {ref}
+
+    def walk(node: int) -> None:
+        for nxt in succ.get(node, ()):
+            if nxt == ref:
+                if len(stack) > 1:  # the closing edge makes len(stack) edges
+                    counts.update((v, len(stack)) for v in stack)
+            elif nxt not in on_stack and len(stack) < k:
+                stack.append(nxt)
+                on_stack.add(nxt)
+                walk(nxt)
+                on_stack.remove(stack.pop())
+
+    walk(ref)
+    return counts
+
+
+def cycle_counts(g: DiGraph, ref: int, k: int = 3) -> pd.DataFrame:
     """Per-node simple-cycle counts ``c_{r,n}(i)``.
 
     Args:
         g: the graph.
         ref: reference node id.
         k: maximum cycle length (edges), ``k > 1``.
-        prune: restrict to the (k−1)-ball first (results identical;
-            disable only to test the pruning itself).
 
     Returns:
-        DataFrame ``(id, length, n_cycles)`` — one row per node and
+        pandas frame ``(id, length, n_cycles)``: one row per node and
         cycle length with a nonzero count. Nodes on no cycle are absent.
+
+    Raises:
+        ValueError: ``k < 2``, before any Spark job runs.
+        KeyError: ``ref`` is not a vertex of ``g``.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    _check_ref(g, ref)
-    sub = prune_to_k_ball(g, ref, k) if prune else g
-    cycles = _closed_paths(sub, ref, k)
-    return (
-        cycles.select(F.explode("path").alias("id"), "length")
-        .groupBy("id", "length")
-        .agg(F.count("*").alias("n_cycles"))
-    )
+    ball = prune_to_k_ball(g, ref, k)
+    succ: dict[int, list[int]] = {}
+    for src, dst in ball.edges.collect():
+        succ.setdefault(src, []).append(dst)
+    rows = [(v, n, c) for (v, n), c in _count_cycles(succ, ref, k).items()]
+    return pd.DataFrame(rows, columns=["id", "length", "n_cycles"], dtype="int64")
 
 
 def cyclerank(
@@ -129,7 +108,6 @@ def cyclerank(
     *,
     k: int = 3,
     sigma: str | ScoringFn = "exp",
-    prune: bool = True,
 ) -> DataFrame:
     """CycleRank scores for every vertex of ``g`` w.r.t. ``ref``.
 
@@ -139,18 +117,26 @@ def cyclerank(
         k: maximum cycle length (the paper uses K=3 on Wikipedia,
             K=5 on Amazon).
         sigma: scoring-function name (``exp``/``lin``/``quad``/``const``)
-            or one of the callables in :mod:`repro.core.scoring`;
-            the paper's default is ``exp`` (σ(n)=e⁻ⁿ).
-        prune: apply (k−1)-ball pruning before enumeration.
+            or any callable ``n -> weight``, such as those in
+            :mod:`repro.core.scoring`; the paper's default is ``exp``
+            (σ(n)=e⁻ⁿ).
 
     Returns:
         DataFrame ``(id, score)`` covering **all** vertices; nodes on no
         qualifying cycle score 0. The reference node has the maximum.
+
+    Raises:
+        ValueError: unknown σ name or ``k < 2``, before any Spark job.
+        KeyError: ``ref`` is not a vertex of ``g``.
     """
-    counts = cycle_counts(g, ref, k, prune=prune)
-    scored = counts.select(
-        "id", (sigma_column(sigma, F.col("length")) * F.col("n_cycles")).alias("w")
-    ).groupBy("id").agg(F.sum("w").alias("score"))
+    weight = get_scoring(sigma)
+    counts = cycle_counts(g, ref, k)
+    scores = (counts["n_cycles"] * counts["length"].map(weight)).groupby(
+        counts["id"]
+    ).sum()
+    scored = g.vertices.sparkSession.createDataFrame(
+        [(int(v), float(s)) for v, s in scores.items()], "id long, score double"
+    )
     return g.vertices.select("id").join(scored, "id", "left").select(
         "id", F.coalesce("score", F.lit(0.0)).alias("score")
     )

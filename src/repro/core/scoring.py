@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
 ScoringFn = Callable[[int], float]
 
 
@@ -57,16 +54,3 @@ def get_scoring(sigma: str | ScoringFn) -> ScoringFn:
             f"unknown scoring function {sigma!r}; know {sorted(SCORING_FUNCTIONS)}"
         ) from None
 
-
-def sigma_column(sigma: str | ScoringFn, length: Column) -> Column:
-    """σ applied to a Spark ``length`` column (native expression for the
-    four named σs; arbitrary callables are not supported column-wise)."""
-    if sigma == "exp" or sigma is sigma_exp:
-        return F.exp(-length.cast("double"))
-    if sigma == "lin" or sigma is sigma_lin:
-        return F.lit(1.0) / length.cast("double")
-    if sigma == "quad" or sigma is sigma_quad:
-        return F.lit(1.0) / (length * length).cast("double")
-    if sigma == "const" or sigma is sigma_const:
-        return F.lit(1.0)
-    raise ValueError(f"no column form for scoring function {sigma!r}")

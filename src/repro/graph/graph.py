@@ -7,7 +7,8 @@ aggregations (Catalyst), never RDDs.
 
 Graphs are small enough at our scale factors that vertex frames fit in
 driver memory when a name lookup is needed, but all algorithmic code
-stays distributed.
+stays distributed, except CycleRank's cycle search over the small ball
+it has pruned to.
 """
 from __future__ import annotations
 
@@ -138,16 +139,14 @@ class DiGraph:
             ),
         )
 
-    def subgraph(self, keep: DataFrame) -> "DiGraph":
-        """Induced subgraph on the vertex ids in ``keep`` (an ``id`` column)."""
-        ids = keep.select("id").distinct()
-        e = (
-            self.edges.join(ids.withColumnRenamed("id", "src"), "src")
-            .join(ids.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
+    def subgraph(self, ids: Iterable[int]) -> "DiGraph":
+        """Induced subgraph on the vertex ``ids`` (held on the driver, so
+        both frames are filters that need no shuffle)."""
+        ids = list(ids)
+        return DiGraph(
+            vertices=self.vertices.filter(F.col("id").isin(ids)),
+            edges=self.edges.filter(F.col("src").isin(ids) & F.col("dst").isin(ids)),
         )
-        v = self.vertices.join(ids, "id").select("id", "name")
-        return DiGraph(vertices=v, edges=e)
 
     def cache(self) -> "DiGraph":
         """Cache both frames (call before iterative algorithms)."""

@@ -168,44 +168,53 @@ def _checkpoint(
 
 
 def iterate_frontier(
-    frontier: DataFrame,
-    edges: DataFrame,
-    *,
-    max_depth: int,
-    direction: str = "out",
+    frontier: DataFrame, edges: DataFrame, *, max_depth: int
 ) -> DataFrame:
-    """Bounded BFS: all vertex ids reachable from ``frontier`` within
-    ``max_depth`` hops, following out-edges (``direction='out'``) or
-    in-edges (``direction='in'``).
+    """Two-way bounded BFS: every vertex id within ``max_depth`` hops of
+    ``frontier`` following out-edges (``fwd`` true) and following
+    in-edges (``fwd`` false), expanded in the same loop.
+
+    Each level joins the current frontier with the edges ∪ the reversed
+    edges (tagged ``fwd``), merges the result into the rows seen so far
+    with one ``groupBy`` and ends with an eager ``localCheckpoint``; the
+    number of newly reached rows is observed inside that checkpoint, and
+    the loop stops early when it is 0.
 
     Args:
-        frontier: DataFrame with an ``id`` column (the seed set).
+        frontier: DataFrame with a distinct ``id`` column (the seed set).
         edges: edge frame ``(src, dst)``.
         max_depth: number of hops to expand.
-        direction: ``'out'`` follows src→dst, ``'in'`` follows dst→src.
 
     Returns:
-        DataFrame with a distinct ``id`` column: seeds plus everything
-        reached. Used by CycleRank's K-ball pruning.
+        DataFrame ``(id, fwd)``, one row per vertex reached in each
+        direction; the seeds appear in both. Used by CycleRank's K-ball
+        pruning.
     """
-    if direction == "out":
-        from_col, to_col = "src", "dst"
-    elif direction == "in":
-        from_col, to_col = "dst", "src"
-    else:
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-    seen = frontier.select("id").distinct().localCheckpoint(eager=True)
-    cur = seen
-    for _ in range(max_depth):
-        nxt = (
-            cur.join(edges, cur["id"] == edges[from_col])
-            .select(F.col(to_col).alias("id"))
-            .distinct()
-            .join(seen, "id", "left_anti")
-            .localCheckpoint(eager=True)
+    arcs = edges.select(
+        F.col("src").alias("id"), F.col("dst").alias("to"), F.lit(True).alias("fwd")
+    ).unionByName(
+        edges.select(
+            F.col("dst").alias("id"), F.col("src").alias("to"), F.lit(False).alias("fwd")
         )
-        if nxt.isEmpty():
+    )
+    seen = frontier.select(
+        "id",
+        F.explode(F.array(F.lit(True), F.lit(False))).alias("fwd"),
+        F.lit(0).alias("depth"),
+    )
+    for depth in range(1, max_depth + 1):
+        reached = (
+            seen.filter(F.col("depth") == depth - 1)
+            .join(arcs, ["id", "fwd"])
+            .select(F.col("to").alias("id"), "fwd", F.lit(depth).alias("depth"))
+        )
+        merged = (
+            seen.unionByName(reached)
+            .groupBy("id", "fwd")
+            .agg(F.min("depth").alias("depth"))
+        )
+        new = F.sum((F.col("depth") == depth).cast("long")).alias("new")
+        seen, observed = _checkpoint(merged, [new], ("id", "fwd", "depth"))
+        if not observed["new"]:
             break
-        seen = seen.union(nxt).localCheckpoint(eager=True)
-        cur = nxt
-    return seen
+    return seen.select("id", "fwd")

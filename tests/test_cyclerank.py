@@ -13,36 +13,41 @@ from tests.graphs import (
     random_digraph,
 )
 from repro.core.cyclerank import cycle_counts, cyclerank, prune_to_k_ball
+from repro.core.scoring import SCORING_FUNCTIONS
 from repro.graph.graph import DiGraph
 from repro.reference import cyclerank_ref
 
 RANDOM_C = random_digraph(10, 0.3, seed=11)
+#: One cycle of each length 2, 3 and 5 through node 0, sharing only 0.
+PETALS = [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
+#: cycle length -> a node on the petal of that length
+PETAL_NODE = {2: 1, 3: 2, 5: 4}
 
 
 def _scores(df) -> dict[int, float]:
     return {r["id"]: r["score"] for r in df.collect()}
 
 
-def _counts(df) -> dict[tuple[int, int], int]:
-    return {(r["id"], r["length"]): r["n_cycles"] for r in df.collect()}
+def _counts(pdf) -> dict[tuple[int, int], int]:
+    return {(r.id, r.length): r.n_cycles for r in pdf.itertuples()}
 
 
 @pytest.fixture(scope="module")
 def bowtie_k3(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
-    return _scores(cyclerank(g, 0, k=3, prune=False))
+    return _scores(cyclerank(g, 0, k=3))
 
 
 @pytest.fixture(scope="module")
 def complete4_k4(spark):
     g = DiGraph.from_edges(spark, COMPLETE4)
-    return _scores(cyclerank(g, 0, k=4, prune=False))
+    return _scores(cyclerank(g, 0, k=4))
 
 
 @pytest.fixture(scope="module")
 def random_c_k4(spark):
     g = DiGraph.from_edges(spark, RANDOM_C)
-    return _scores(cyclerank(g, 2, k=4, prune=False))
+    return _scores(cyclerank(g, 2, k=4))
 
 
 # -- hand-checked scores ------------------------------------------------
@@ -50,14 +55,14 @@ def random_c_k4(spark):
 
 def test_cycle3_scores(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
-    got = _scores(cyclerank(g, 0, k=3, prune=False))
+    got = _scores(cyclerank(g, 0, k=3))
     w = math.exp(-3)
     assert got == pytest.approx({0: w, 1: w, 2: w})
 
 
 def test_cycle4_below_k_no_cycles(spark):
     g = DiGraph.from_edges(spark, CYCLE4)
-    got = _scores(cyclerank(g, 0, k=3, prune=False))
+    got = _scores(cyclerank(g, 0, k=3))
     assert got == pytest.approx({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
 
 
@@ -89,7 +94,7 @@ def test_complete4_closed_form(complete4_k4):
 
 def test_acyclic_all_zero(spark):
     g = DiGraph.from_edges(spark, ACYCLIC_FROM_0)
-    got = _scores(cyclerank(g, 0, k=5, prune=False))
+    got = _scores(cyclerank(g, 0, k=5))
     assert set(got.values()) == {0.0}
 
 
@@ -103,14 +108,14 @@ def test_all_vertices_present_in_output(spark, bowtie_k3):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_matches_reference_random(spark, k):
     g = DiGraph.from_edges(spark, RANDOM_C)
-    got = _scores(cyclerank(g, 2, k=k, prune=False))
+    got = _scores(cyclerank(g, 2, k=k))
     want = cyclerank_ref(RANDOM_C, 2, k)
     assert got == pytest.approx(want)
 
 
 def test_matches_reference_other_ref(spark):
     g = DiGraph.from_edges(spark, RANDOM_C)
-    got = _scores(cyclerank(g, 7, k=3, prune=False))
+    got = _scores(cyclerank(g, 7, k=3))
     assert got == pytest.approx(cyclerank_ref(RANDOM_C, 7, 3))
 
 
@@ -120,13 +125,45 @@ def test_matches_reference_other_ref(spark):
 @pytest.mark.parametrize("sigma,weight", [("lin", 1 / 3), ("quad", 1 / 9), ("const", 1.0)])
 def test_sigma_variants_cycle3(spark, sigma, weight):
     g = DiGraph.from_edges(spark, CYCLE3)
-    got = _scores(cyclerank(g, 0, k=3, sigma=sigma, prune=False))
+    got = _scores(cyclerank(g, 0, k=3, sigma=sigma))
     assert got[1] == pytest.approx(weight)
+
+
+@pytest.fixture(scope="module")
+def petal_scores(spark):
+    g = DiGraph.from_edges(spark, PETALS)
+    return {
+        name: _scores(cyclerank(g, 0, k=5, sigma=name)) for name in SCORING_FUNCTIONS
+    }
+
+
+@pytest.mark.parametrize("name", ["exp", "lin", "quad", "const"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_named_sigma_weights_cycle_length(petal_scores, name, n):
+    want = SCORING_FUNCTIONS[name](n)
+    assert petal_scores[name][PETAL_NODE[n]] == pytest.approx(want)
+
+
+def test_sigma_callable_matches_reference(spark):
+    g = DiGraph.from_edges(spark, RANDOM_C)
+    sigma = lambda n: 1 / n  # noqa: E731
+    got = _scores(cyclerank(g, 2, k=4, sigma=sigma))
+    assert got == pytest.approx(cyclerank_ref(RANDOM_C, 2, 4, sigma=sigma))
+
+
+def test_unknown_sigma_raises_before_spark(spark, count_jobs):
+    g = DiGraph.from_edges(spark, RANDOM_C)
+
+    def run():
+        with pytest.raises(ValueError, match="unknown scoring function"):
+            cyclerank(g, 2, k=3, sigma="bogus")
+
+    assert count_jobs(run) == 0
 
 
 def test_sigma_const_counts_cycles(spark):
     g = DiGraph.from_edges(spark, COMPLETE4)
-    got = _scores(cyclerank(g, 0, k=4, sigma="const", prune=False))
+    got = _scores(cyclerank(g, 0, k=4, sigma="const"))
     assert got[0] == pytest.approx(15.0)  # 3 + 6 + 6
 
 
@@ -134,10 +171,13 @@ def test_sigma_const_counts_cycles(spark):
 
 
 def test_prune_preserves_scores(spark):
+    """The ball around ref 5 leaves vertices out, and the scores still
+    equal the DFS reference over the whole edge list."""
     g = DiGraph.from_edges(spark, RANDOM_C)
-    with_prune = _scores(cyclerank(g, 2, k=3, prune=True))
-    without = _scores(cyclerank(g, 2, k=3, prune=False))
-    assert with_prune == pytest.approx(without)
+    ball = {r["id"] for r in prune_to_k_ball(g, 5, 3).vertices.collect()}
+    assert ball < {v for e in RANDOM_C for v in e}
+    got = _scores(cyclerank(g, 5, k=3))
+    assert got == pytest.approx(cyclerank_ref(RANDOM_C, 5, 3))
 
 
 def test_prune_ball_contains_all_cycle_nodes(spark):
@@ -161,7 +201,7 @@ def test_prune_far_tail_cut(spark):
 
 def test_cycle_counts_bowtie(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
-    got = _counts(cycle_counts(g, 0, 3, prune=False))
+    got = _counts(cycle_counts(g, 0, 3))
     assert got == {
         (0, 2): 2, (1, 2): 1, (2, 2): 1,
         (0, 3): 3, (1, 3): 2, (2, 3): 3, (3, 3): 1,
@@ -170,13 +210,13 @@ def test_cycle_counts_bowtie(spark):
 
 def test_cycle_counts_exclude_longer(spark):
     g = DiGraph.from_edges(spark, COMPLETE4)
-    got = _counts(cycle_counts(g, 0, 2, prune=False))
+    got = _counts(cycle_counts(g, 0, 2))
     assert got == {(0, 2): 3, (1, 2): 1, (2, 2): 1, (3, 2): 1}
 
 
 def test_self_loops_ignored(spark):
     g = DiGraph.from_edges(spark, [(0, 0), (0, 1), (1, 0)])
-    got = _scores(cyclerank(g, 0, k=3, prune=False))
+    got = _scores(cyclerank(g, 0, k=3))
     assert got[0] == pytest.approx(math.exp(-2))
     assert got[1] == pytest.approx(math.exp(-2))
 
@@ -194,3 +234,8 @@ def test_missing_ref_raises(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
     with pytest.raises(KeyError, match="reference node"):
         cyclerank(g, 42, k=3)
+
+
+def test_spark_jobs_bounded(spark, count_jobs):
+    g = DiGraph.from_edges(spark, RANDOM_C)
+    assert count_jobs(lambda: cyclerank(g, 2, k=5).collect()) <= 50

@@ -1,15 +1,17 @@
 """CycleRank cycle counts vs a DuckDB recursive-CTE oracle.
 
-The Spark implementation enumerates simple cycles through the reference
-by iterative DataFrame joins; DuckDB enumerates the same cycles with a
-``WITH RECURSIVE`` walk carrying the visited list. ``assert_equivalent``
+The implementation prunes the graph to the (K−1)-ball around the
+reference with a two-way BFS in Spark and counts the cycles by a DFS on
+the driver; DuckDB enumerates the same cycles over the *whole* graph
+with a ``WITH RECURSIVE`` walk carrying the visited list, so the
+pruning is checked as well. ``assert_equivalent``
 diffs the full per-(node, length) count tables, so a missed path, a
 double-counted cycle, or a broken simple-path filter fails loudly.
 """
 import pytest
 
 from tests.graphs import BOWTIE, COMPLETE4, CYCLE3, random_digraph
-from repro.core.cyclerank import cycle_counts
+from repro.core.cyclerank import cycle_counts, prune_to_k_ball
 from repro.graph.graph import DiGraph
 from repro.oracle import assert_equivalent
 
@@ -62,11 +64,14 @@ def _cycle_sql(ref: int, k: int) -> str:
 )
 def test_cycle_counts_match_duckdb(spark, edges, ref, k):
     g = DiGraph.from_edges(spark, edges)
-    got = cycle_counts(g, ref, k, prune=False)
+    got = cycle_counts(g, ref, k)
     assert_equivalent(got, _cycle_sql(ref, k), edges=g.edges.toPandas())
 
 
 def test_cycle_counts_match_duckdb_with_pruning(spark):
+    """Ref 5 at K=3: the pruned ball leaves vertices out."""
     g = DiGraph.from_edges(spark, RANDOM_C)
-    got = cycle_counts(g, 2, 4, prune=True)
-    assert_equivalent(got, _cycle_sql(2, 4), edges=g.edges.toPandas())
+    ball = {r["id"] for r in prune_to_k_ball(g, 5, 3).vertices.collect()}
+    assert ball < {v for e in RANDOM_C for v in e}
+    got = cycle_counts(g, 5, 3)
+    assert_equivalent(got, _cycle_sql(5, 3), edges=g.edges.toPandas())

@@ -1,7 +1,6 @@
 """Tests for the DataFrame-backed DiGraph substrate."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from tests.graphs import BOWTIE, CYCLE3, DANGLING_CHAIN, STAR_IN
 from repro.graph.graph import DiGraph
@@ -122,16 +121,14 @@ def test_transpose_swaps_degrees(spark, bowtie):
 
 
 def test_subgraph_induced(spark, bowtie):
-    keep = bowtie.vertices.filter(F.col("id").isin([0, 1, 2])).select("id")
-    sub = bowtie.subgraph(keep)
+    sub = bowtie.subgraph([0, 1, 2])
     assert sub.num_vertices() == 3
     got = {(r["src"], r["dst"]) for r in sub.edges.collect()}
     assert got == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}
 
 
 def test_subgraph_empty(spark, bowtie):
-    keep = bowtie.vertices.filter(F.col("id") > 100).select("id")
-    sub = bowtie.subgraph(keep)
+    sub = bowtie.subgraph([101, 102])
     assert sub.num_vertices() == 0
     assert sub.num_edges() == 0
 

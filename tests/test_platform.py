@@ -222,6 +222,24 @@ def test_cyclerank_with_two_refs_fails_cleanly(gateway):
     assert "exactly one" in poll["error"]
 
 
+def test_cyclerank_with_k_below_two_fails_cleanly(gateway):
+    (tid,) = gateway.submit_query_set(
+        [Task.make("twitter-cop27", "cyclerank", refs=[0], k=1)]
+    )
+    poll = gateway.poll(tid)
+    assert poll["state"] == "failed"
+    assert "k must be >= 2" in poll["error"]
+
+
+def test_cyclerank_with_unknown_ref_fails_cleanly(gateway):
+    (tid,) = gateway.submit_query_set(
+        [Task.make("twitter-cop27", "cyclerank", refs=[10**12], k=3)]
+    )
+    poll = gateway.poll(tid)
+    assert poll["state"] == "failed"
+    assert "reference node" in poll["error"]
+
+
 def test_pagerank_without_supersteps_fails_cleanly(gateway):
     (tid,) = gateway.submit_query_set(
         [Task.make("twitter-cop27", "pagerank", max_iter=0)]

@@ -178,37 +178,33 @@ def chain_graph(spark):
     return DiGraph.from_edges(spark, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
-def _ids(df) -> set[int]:
-    return {r["id"] for r in df.collect()}
+def _ids(df, fwd: bool) -> set[int]:
+    return {r["id"] for r in df.filter(F.col("fwd") == fwd).collect()}
 
 
 def test_frontier_depth_zero_is_seed(spark, chain_graph):
     seed = spark.createDataFrame([(2,)], "id long")
-    assert _ids(iterate_frontier(seed, chain_graph.edges, max_depth=0)) == {2}
+    got = iterate_frontier(seed, chain_graph.edges, max_depth=0)
+    assert _ids(got, True) == _ids(got, False) == {2}
 
 
 @pytest.mark.parametrize("depth,expected", [(1, {0, 1}), (2, {0, 1, 2}), (9, {0, 1, 2, 3, 4})])
 def test_frontier_out_depths(spark, chain_graph, depth, expected):
     seed = spark.createDataFrame([(0,)], "id long")
-    assert _ids(
-        iterate_frontier(seed, chain_graph.edges, max_depth=depth, direction="out")
-    ) == ({0} | expected)
+    got = iterate_frontier(seed, chain_graph.edges, max_depth=depth)
+    assert _ids(got, True) == ({0} | expected)
+    assert _ids(got, False) == {0}
 
 
 def test_frontier_in_direction(spark, chain_graph):
     seed = spark.createDataFrame([(4,)], "id long")
-    got = _ids(iterate_frontier(seed, chain_graph.edges, max_depth=2, direction="in"))
-    assert got == {2, 3, 4}
+    got = iterate_frontier(seed, chain_graph.edges, max_depth=2)
+    assert _ids(got, False) == {2, 3, 4}
+    assert _ids(got, True) == {4}
 
 
 def test_frontier_stops_at_component(spark):
     g = DiGraph.from_edges(spark, DISCONNECTED)
     seed = g.vertices.sparkSession.createDataFrame([(0,)], "id long")
-    got = _ids(iterate_frontier(seed, g.edges, max_depth=10))
-    assert got == {0, 1}
-
-
-def test_frontier_bad_direction_raises(spark, chain_graph):
-    seed = spark.createDataFrame([(0,)], "id long")
-    with pytest.raises(ValueError, match="direction"):
-        iterate_frontier(seed, chain_graph.edges, max_depth=1, direction="sideways")
+    got = iterate_frontier(seed, g.edges, max_depth=10)
+    assert _ids(got, True) == _ids(got, False) == {0, 1}

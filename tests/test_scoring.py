@@ -2,12 +2,10 @@
 import math
 
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.scoring import (
     SCORING_FUNCTIONS,
     get_scoring,
-    sigma_column,
     sigma_const,
     sigma_exp,
     sigma_lin,
@@ -62,15 +60,3 @@ def test_get_scoring_unknown_raises():
     with pytest.raises(ValueError, match="unknown scoring function"):
         get_scoring("nope")
 
-
-@pytest.mark.parametrize("name", ["exp", "lin", "quad", "const"])
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_sigma_column_matches_python(spark, name, n):
-    df = spark.range(1).select(F.lit(n).alias("length"))
-    got = df.select(sigma_column(name, F.col("length")).alias("s")).first()["s"]
-    assert got == pytest.approx(SCORING_FUNCTIONS[name](n))
-
-
-def test_sigma_column_unknown_raises():
-    with pytest.raises(ValueError, match="no column form"):
-        sigma_column("bogus", F.lit(2))
