@@ -10,16 +10,18 @@ lies on every counted cycle and so receives the maximum score.
 distance K−1 of ``r`` *and* within backward distance K−1, so before
 enumerating we restrict the graph to the intersection of the two
 (K−1)-balls around ``r`` (the same pruning the reference C++
-implementation applies). Both balls come from one two-way BFS in Spark
-(:func:`~repro.pregel.engine.iterate_frontier`), and the ids in both are
-collected. Nodes outside the ball score 0.
+implementation applies). Both balls come from one two-way BFS
+(:func:`~repro.pregel.engine.iterate_frontier`) whose frontiers stay on
+the driver, one edge scan per level; the ball is the intersection of the
+two id sets. Nodes outside the ball score 0.
 
 **Enumeration.** The pruned ball is local to ``r`` and small, so its
 edges are collected to the driver, where a depth-first search counts the
 simple cycles through ``r``. Every such cycle has exactly one representation
 as a path ``r → v₁ → … → v_{n-1} → r`` with distinct ``vᵢ ≠ r``; the
 search extends a path only to nodes not on it, and the stack is at most
-K deep. σ is applied on the driver and the scores return to Spark.
+K deep. σ is applied on the driver, and the ball's scores return to Spark
+as a literal map that a projection of the vertex frame looks up.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.scoring import ScoringFn, get_scoring
-from repro.graph.graph import DiGraph
+from repro.graph.graph import DiGraph, id_in
 from repro.pregel.engine import iterate_frontier
 
 
@@ -42,12 +44,11 @@ def prune_to_k_ball(g: DiGraph, ref: int, k: int) -> DiGraph:
     Raises:
         KeyError: ``ref`` is not a vertex of ``g``.
     """
-    seed = g.vertices.filter(F.col("id") == ref).select("id")
-    reached = iterate_frontier(seed, g.edges, max_depth=k - 1)
-    ids = [r.id for r in reached.groupBy("id").count().filter("count = 2").collect()]
-    if ref not in ids:
+    fwd, bwd = iterate_frontier([ref], g.edges, max_depth=k - 1)
+    # Only a ref from which the BFS reached nothing can be unknown.
+    if fwd == bwd == {ref} and g.vertices.filter(id_in("id", [ref])).isEmpty():
         raise KeyError(f"reference node {ref} not in graph")
-    return g.subgraph(ids)
+    return g.subgraph(fwd & bwd)
 
 
 def _count_cycles(
@@ -134,9 +135,11 @@ def cyclerank(
     scores = (counts["n_cycles"] * counts["length"].map(weight)).groupby(
         counts["id"]
     ).sum()
-    scored = g.vertices.sparkSession.createDataFrame(
-        [(int(v), float(s)) for v, s in scores.items()], "id long, score double"
-    )
-    return g.vertices.select("id").join(scored, "id", "left").select(
-        "id", F.coalesce("score", F.lit(0.0)).alias("score")
-    )
+    score = F.lit(0.0)
+    if len(scores):
+        # repr of a float parses back to the same double.
+        ids = ", ".join(f"{int(v)}L" for v in scores.index)
+        values = ", ".join(f"{float(s)!r}D" for s in scores)
+        ball = F.expr(f"map_from_arrays(array({ids}), array({values}))")
+        score = F.coalesce(ball[F.col("id")], score)
+    return g.vertices.select("id", score.alias("score"))

@@ -12,16 +12,18 @@ graph, ranking by outgoing instead of incoming connections.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.graph import DiGraph
+from repro.graph.graph import DiGraph, id_in
 from repro.pregel.engine import pregel
 
 
 def _power_iteration(
     g: DiGraph,
-    teleport: DataFrame | None,
+    refs: int | Iterable[int] | None,
     alpha: float,
     max_iter: int,
     tol: float,
@@ -36,8 +38,9 @@ def _power_iteration(
 
     Args:
         g: the graph.
-        teleport: ``(id, tele)`` probability vector (sums to 1), or
-            ``None`` for the uniform vector (classic PageRank).
+        refs: the reference id or ids, over which ``t`` is uniform, or
+            ``None`` for the uniform vector over all vertices (classic
+            PageRank).
         alpha: damping factor — probability of following an out-edge.
         max_iter, tol: convergence controls (L1).
 
@@ -46,19 +49,24 @@ def _power_iteration(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if teleport is None:
+    if refs is None:
         n = g.num_vertices()
         if n == 0:
             raise ValueError("graph has no vertices")
-        tele = g.vertices.select("id", F.lit(1.0 / n).alias("tele"))
+        tele = F.lit(1.0 / n)
     else:
-        tele = g.vertices.select("id").join(
-            teleport.select("id", "tele"), "id", "left"
-        ).select("id", F.coalesce("tele", F.lit(0.0)).alias("tele"))
+        refs = {refs} if isinstance(refs, int) else set(refs)
+        if not refs:
+            raise ValueError("reference set must be non-empty")
+        is_ref = id_in("id", refs)
+        missing = len(refs) - g.vertices.filter(is_ref).count()
+        if missing:
+            raise KeyError(f"{missing} reference id(s) not present in the graph")
+        tele = F.when(is_ref, 1.0 / len(refs)).otherwise(0.0)
     # The walk starts from the teleport vector (uniform for PR): nodes
     # unreachable from the reference set then stay at exactly 0 instead
     # of holding a slowly decaying α^k residual of a uniform start.
-    state = tele.select("id", F.col("tele").alias("value"), "tele")
+    state = g.vertices.select("id", tele.alias("value"), tele.alias("tele"))
 
     def send(out_edges: DataFrame) -> DataFrame:
         return out_edges.select(

@@ -12,25 +12,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.pagerank import _power_iteration
 from repro.graph.graph import DiGraph
-
-
-def _teleport_vector(g: DiGraph, refs: Iterable[int]) -> DataFrame:
-    """Uniform probability over the reference set, 0 elsewhere."""
-    ref_list = sorted({int(r) for r in refs})
-    if not ref_list:
-        raise ValueError("reference set must be non-empty")
-    spark = g.vertices.sparkSession
-    tele = spark.createDataFrame(
-        [(r, 1.0 / len(ref_list)) for r in ref_list], "id long, tele double"
-    )
-    missing = tele.join(g.vertices, "id", "left_anti").count()
-    if missing:
-        raise KeyError(f"{missing} reference id(s) not present in the graph")
-    return tele
 
 
 def personalized_pagerank(
@@ -54,9 +38,7 @@ def personalized_pagerank(
         DataFrame ``(id, score)``; scores sum to 1 and the reference
         set typically dominates.
     """
-    if isinstance(refs, int):
-        refs = [refs]
-    return _power_iteration(g, _teleport_vector(g, refs), alpha, max_iter, tol)
+    return _power_iteration(g, refs, alpha, max_iter, tol)
 
 
 def personalized_cheirank(
@@ -68,7 +50,4 @@ def personalized_cheirank(
     tol: float = 1e-8,
 ) -> DataFrame:
     """Personalized CheiRank: PPR on the transposed graph."""
-    if isinstance(refs, int):
-        refs = [refs]
-    gt = g.transpose()
-    return _power_iteration(gt, _teleport_vector(gt, refs), alpha, max_iter, tol)
+    return _power_iteration(g.transpose(), refs, alpha, max_iter, tol)

@@ -37,20 +37,22 @@ def top_k(g: DiGraph, scores: DataFrame, k: int) -> pd.DataFrame:
     """The ``k`` best vertices of ``g`` by score, named and ranked.
 
     One sorted ``limit`` (score descending, id tie-break) brings the rows
-    to the driver, where they are numbered ``rank = 1..n``. This is the
-    only top-k in the product: the scheduler stores it and the table
+    to the driver, where they are numbered ``rank = 1..n``; then the
+    names of those ≤ k ids are looked up (two Spark jobs in all). This is
+    the only top-k in the product: the scheduler stores it and the table
     harnesses read their columns from it.
 
     Returns:
         pandas ``(id, score, rank, name)`` in rank order.
     """
     top = (
-        g.with_names(scores.select("id", "score"))
+        scores.select("id", "score")
         .orderBy(F.col("score").desc(), F.col("id").asc())
         .limit(k)
         .toPandas()
     )
     top.insert(2, "rank", range(1, len(top) + 1))
+    top["name"] = top["id"].map(g.names_of(top["id"]))
     return top
 
 

@@ -22,13 +22,8 @@ import os
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.graph.graph import DiGraph
-
-_EDGE_SCHEMA = StructType(
-    [StructField("src", LongType()), StructField("dst", LongType())]
-)
+from repro.graph.graph import EDGE_SCHEMA, DiGraph
 
 
 # -- edgelist CSV -------------------------------------------------------
@@ -36,7 +31,7 @@ _EDGE_SCHEMA = StructType(
 
 def read_edgelist(spark: SparkSession, path: str, header: bool = False) -> DiGraph:
     """Read a ``src,dst`` CSV edge list into a DiGraph."""
-    df = spark.read.csv(path, schema=_EDGE_SCHEMA, header=header)
+    df = spark.read.csv(path, schema=EDGE_SCHEMA, header=header)
     return DiGraph.from_edges(spark, df)
 
 

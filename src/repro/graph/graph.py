@@ -5,22 +5,40 @@ with an edge DataFrame ``(src: long, dst: long)``. All algorithms in
 ``repro.core`` operate on these two frames with DataFrame joins and
 aggregations (Catalyst), never RDDs.
 
-Graphs are small enough at our scale factors that vertex frames fit in
-driver memory when a name lookup is needed, but all algorithmic code
-stays distributed, except CycleRank's cycle search over the small ball
-it has pruned to.
+The power iterations stay distributed. CycleRank is local by design: its
+BFS keeps only the frontier ids on the driver, and its cycle search runs
+there over the small ball it has pruned to. Id sets held on the driver
+reach Spark as one SQL literal (:func:`id_in`).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StringType, StructField, StructType
 
-EDGE_COLS = ("src", "dst")
-VERTEX_COLS = ("id", "name")
+VERTEX_SCHEMA = StructType(
+    [StructField("id", LongType()), StructField("name", StringType())]
+)
+EDGE_SCHEMA = StructType(
+    [StructField("src", LongType()), StructField("dst", LongType())]
+)
+
+
+def id_in(column: str, ids: Iterable[int]) -> Column:
+    """``column IN (ids)`` as one SQL literal, one JVM call for any number
+    of ids (``Column.isin`` makes one per id); empty ``ids`` match no row.
+
+    Raises:
+        TypeError: an id is not an integer (``operator.index``), so no
+            other text reaches the SQL parser.
+    """
+    literal = ", ".join(f"{operator.index(i)}L" for i in ids)
+    return F.expr(f"`{column}` IN ({literal})") if literal else F.lit(False)
 
 
 @dataclass(frozen=True)
@@ -57,7 +75,7 @@ class DiGraph:
                 ``"node_<id>"``.
         """
         if not isinstance(edges, DataFrame):
-            pdf = pd.DataFrame(list(edges), columns=list(EDGE_COLS), dtype="int64")
+            pdf = pd.DataFrame(list(edges), columns=EDGE_SCHEMA.names, dtype="int64")
             edges = spark.createDataFrame(pdf)
         e = (
             edges.select(
@@ -99,7 +117,7 @@ class DiGraph:
         if vertices is not None:
             names = dict(zip(vertices["id"].astype("int64"), vertices["name"]))
         return DiGraph.from_edges(
-            spark, spark.createDataFrame(edges[list(EDGE_COLS)]), names
+            spark, spark.createDataFrame(edges[EDGE_SCHEMA.names]), names
         )
 
     # -- basic properties ----------------------------------------------
@@ -144,8 +162,8 @@ class DiGraph:
         both frames are filters that need no shuffle)."""
         ids = list(ids)
         return DiGraph(
-            vertices=self.vertices.filter(F.col("id").isin(ids)),
-            edges=self.edges.filter(F.col("src").isin(ids) & F.col("dst").isin(ids)),
+            vertices=self.vertices.filter(id_in("id", ids)),
+            edges=self.edges.filter(id_in("src", ids) & id_in("dst", ids)),
         )
 
     def cache(self) -> "DiGraph":
@@ -165,10 +183,5 @@ class DiGraph:
 
     def names_of(self, ids: Iterable[int]) -> dict[int, str]:
         """id→name mapping for the given ids (driver-side collect)."""
-        ids = list(ids)
-        rows = self.vertices.filter(F.col("id").isin(ids)).collect()
+        rows = self.vertices.filter(id_in("id", ids)).collect()
         return {r["id"]: r["name"] for r in rows}
-
-    def with_names(self, scores: DataFrame) -> DataFrame:
-        """Join a per-vertex result (``id`` column) with vertex names."""
-        return scores.join(self.vertices, "id", "left")

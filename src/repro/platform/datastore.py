@@ -4,7 +4,8 @@ The paper's Datastore "is responsible for storing and managing
 datasets [and] provides storage for results and logs". Here:
 
 - datasets are stored as two parquet directories (``vertices/``,
-  ``edges/``) written and read with Spark (datasets can be large);
+  ``edges/``) written and read with Spark (datasets can be large), with
+  the graph's fixed schemas, so loading one starts no Spark job;
 - results are small top-k frames, stored as single parquet files via
   pandas/pyarrow;
 - logs are JSONL, append-only, one file per task.
@@ -16,8 +17,12 @@ import os
 
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
-from repro.graph.graph import DiGraph
+from repro.graph.graph import EDGE_SCHEMA, VERTEX_SCHEMA, DiGraph
+
+#: The frames of a stored graph, in ``DiGraph`` field order.
+_FRAMES = (("vertices", VERTEX_SCHEMA), ("edges", EDGE_SCHEMA))
 
 
 class Datastore:
@@ -36,11 +41,13 @@ class Datastore:
     def save_dataset(self, name: str, g: DiGraph) -> None:
         """Persist a graph as vertices+edges parquet."""
         d = self._dataset_dir(name)
-        g.vertices.write.mode("overwrite").parquet(os.path.join(d, "vertices"))
-        g.edges.write.mode("overwrite").parquet(os.path.join(d, "edges"))
+        for sub, schema in _FRAMES:
+            cast = (F.col(f.name).cast(f.dataType) for f in schema)
+            frame = getattr(g, sub).select(*cast)
+            frame.write.mode("overwrite").parquet(os.path.join(d, sub))
 
     def load_dataset(self, spark: SparkSession, name: str) -> DiGraph:
-        """Load a persisted graph.
+        """Load a persisted graph (no Spark job: the schemas are known).
 
         Raises:
             FileNotFoundError: if the dataset was never saved.
@@ -49,8 +56,7 @@ class Datastore:
         if not os.path.isdir(d):
             raise FileNotFoundError(f"dataset {name!r} not in datastore")
         return DiGraph(
-            vertices=spark.read.parquet(os.path.join(d, "vertices")),
-            edges=spark.read.parquet(os.path.join(d, "edges")),
+            *(spark.read.schema(s).parquet(os.path.join(d, n)) for n, s in _FRAMES)
         )
 
     def has_dataset(self, name: str) -> bool:

@@ -24,14 +24,19 @@ packages, so this module reimplements the superstep model of Pregel
 The checkpoint also truncates lineage: without it, 30+ chained
 supersteps make Catalyst analysis time explode. A superstep thus runs
 two Spark jobs, the shuffle-map stage and the checkpoint.
+
+The bounded BFS (:func:`iterate_frontier`) keeps its few frontier ids on
+the driver instead: one filtering scan of the edges per level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from pyspark.sql import Column, DataFrame, Observation
 from pyspark.sql import functions as F
+
+from repro.graph.graph import id_in
 
 
 @dataclass(frozen=True)
@@ -168,53 +173,37 @@ def _checkpoint(
 
 
 def iterate_frontier(
-    frontier: DataFrame, edges: DataFrame, *, max_depth: int
-) -> DataFrame:
-    """Two-way bounded BFS: every vertex id within ``max_depth`` hops of
-    ``frontier`` following out-edges (``fwd`` true) and following
-    in-edges (``fwd`` false), expanded in the same loop.
+    seed: Iterable[int], edges: DataFrame, *, max_depth: int
+) -> tuple[set[int], set[int]]:
+    """Two-way bounded BFS: the vertex ids within ``max_depth`` hops of
+    ``seed`` following out-edges, and those following in-edges, expanded
+    in the same loop.
 
-    Each level joins the current frontier with the edges ∪ the reversed
-    edges (tagged ``fwd``), merges the result into the rows seen so far
-    with one ``groupBy`` and ends with an eager ``localCheckpoint``; the
-    number of newly reached rows is observed inside that checkpoint, and
-    the loop stops early when it is 0.
+    The frontiers live on the driver. Each level is one scan of
+    ``edges`` for the rows leaving the new forward frontier or entering
+    the new backward one (one Spark job, no shuffle); the loop stops
+    early once both frontiers are empty. The driver receives at most one
+    row per edge touching a frontier.
 
     Args:
-        frontier: DataFrame with a distinct ``id`` column (the seed set).
+        seed: the seed vertex ids.
         edges: edge frame ``(src, dst)``.
         max_depth: number of hops to expand.
 
     Returns:
-        DataFrame ``(id, fwd)``, one row per vertex reached in each
-        direction; the seeds appear in both. Used by CycleRank's K-ball
-        pruning.
+        ``(forward, backward)`` id sets; both contain the seeds. Used by
+        CycleRank's K-ball pruning.
     """
-    arcs = edges.select(
-        F.col("src").alias("id"), F.col("dst").alias("to"), F.lit(True).alias("fwd")
-    ).unionByName(
-        edges.select(
-            F.col("dst").alias("id"), F.col("src").alias("to"), F.lit(False).alias("fwd")
-        )
-    )
-    seen = frontier.select(
-        "id",
-        F.explode(F.array(F.lit(True), F.lit(False))).alias("fwd"),
-        F.lit(0).alias("depth"),
-    )
-    for depth in range(1, max_depth + 1):
-        reached = (
-            seen.filter(F.col("depth") == depth - 1)
-            .join(arcs, ["id", "fwd"])
-            .select(F.col("to").alias("id"), "fwd", F.lit(depth).alias("depth"))
-        )
-        merged = (
-            seen.unionByName(reached)
-            .groupBy("id", "fwd")
-            .agg(F.min("depth").alias("depth"))
-        )
-        new = F.sum((F.col("depth") == depth).cast("long")).alias("new")
-        seen, observed = _checkpoint(merged, [new], ("id", "fwd", "depth"))
-        if not observed["new"]:
+    fwd = set(seed)
+    bwd = set(fwd)
+    new_fwd, new_bwd = set(fwd), set(bwd)
+    for _ in range(max_depth):
+        if not (new_fwd or new_bwd):
             break
-    return seen.select("id", "fwd")
+        touching = id_in("src", new_fwd) | id_in("dst", new_bwd)
+        rows = edges.filter(touching).select("src", "dst").collect()
+        new_fwd = {d for s, d in rows if s in new_fwd} - fwd
+        new_bwd = {s for s, d in rows if d in new_bwd} - bwd
+        fwd |= new_fwd
+        bwd |= new_bwd
+    return fwd, bwd

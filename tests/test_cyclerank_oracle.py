@@ -1,8 +1,8 @@
 """CycleRank cycle counts vs a DuckDB recursive-CTE oracle.
 
 The implementation prunes the graph to the (K−1)-ball around the
-reference with a two-way BFS in Spark and counts the cycles by a DFS on
-the driver; DuckDB enumerates the same cycles over the *whole* graph
+reference with a two-way BFS (driver-side frontiers, one edge scan per
+level) and counts the cycles by a DFS on the driver; DuckDB enumerates the same cycles over the *whole* graph
 with a ``WITH RECURSIVE`` walk carrying the visited list, so the
 pruning is checked as well. ``assert_equivalent``
 diffs the full per-(node, length) count tables, so a missed path, a

@@ -1,9 +1,10 @@
 """Tests for the DataFrame-backed DiGraph substrate."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from tests.graphs import BOWTIE, CYCLE3, DANGLING_CHAIN, STAR_IN
-from repro.graph.graph import DiGraph
+from repro.graph.graph import DiGraph, id_in
 from repro.oracle import assert_equivalent
 
 
@@ -149,10 +150,26 @@ def test_names_of(bowtie):
     assert bowtie.names_of([0, 3]) == {0: "zero", 3: "node_3"}
 
 
-def test_with_names_join(spark, bowtie):
-    scores = spark.createDataFrame([(0, 1.5), (1, 0.5)], "id long, score double")
-    rows = {r["id"]: r["name"] for r in bowtie.with_names(scores).collect()}
-    assert rows == {0: "zero", 1: "one"}
+# -- id_in --------------------------------------------------------------
+
+
+def test_id_in_empty_matches_no_row(bowtie):
+    assert bowtie.vertices.filter(id_in("id", [])).count() == 0
+
+
+def test_id_in_accepts_numpy_ids(bowtie):
+    ids = np.array([0, 3], dtype="int64")
+    got = {r["id"] for r in bowtie.vertices.filter(id_in("id", ids)).collect()}
+    assert got == {0, 3}
+
+
+@pytest.mark.parametrize("bad", [1.5, "1) OR (1=1"])
+def test_id_in_rejects_non_integers_before_spark(count_jobs, bad):
+    def run():
+        with pytest.raises(TypeError):
+            id_in("id", [0, bad])
+
+    assert count_jobs(run) == 0
 
 
 def test_cycle3_roundtrip(spark):

@@ -72,8 +72,15 @@ def test_datastore_dataset_roundtrip(spark, store):
     store.save_dataset("bowtie", g)
     assert store.has_dataset("bowtie")
     g2 = store.load_dataset(spark, "bowtie")
+    assert g2.vertices.dtypes == [("id", "bigint"), ("name", "string")]
+    assert g2.edges.dtypes == [("src", "bigint"), ("dst", "bigint")]
     assert g2.num_edges() == len(BOWTIE)
     assert g2.id_of("zero") == 0
+
+
+def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    assert count_jobs(lambda: store.load_dataset(spark, "bowtie")) == 0
 
 
 def test_datastore_missing_dataset_raises(spark, store):
@@ -277,6 +284,18 @@ def test_scheduler_states(spark, tmp_path):
     status = Status(sched, store)
     assert status.poll(tid)["state"] == "done"
     assert len(status.result(tid)) == 5
+
+
+def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
+    """A K=5 CycleRank task on a stored dataset: four BFS levels, the
+    ball's edges, the sorted limit and its names (25 jobs when the BFS
+    shuffled and checkpointed every level)."""
+    store = Datastore(str(tmp_path / "cr"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", "cyclerank", refs=[0], k=5))
+    assert count_jobs(lambda: sched.run(tid)) <= 7
+    assert sched.state(tid) is TaskState.DONE
 
 
 def test_scheduler_caches_generated_dataset(spark, tmp_path):

@@ -90,6 +90,18 @@ def test_missing_ref_raises(spark):
         personalized_pagerank(g, 99)
 
 
+def test_bad_alpha_raises_before_spark(spark, count_jobs):
+    g = DiGraph.from_edges(spark, CYCLE3)
+
+    def run():
+        with pytest.raises(ValueError, match="alpha"):
+            personalized_pagerank(g, 0, alpha=1.5)
+
+    assert count_jobs(run) == 0
+    with pytest.raises(KeyError, match="not present"):
+        personalized_pagerank(g, 99, alpha=0.5)
+
+
 def test_empty_refs_raises(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
     with pytest.raises(ValueError, match="non-empty"):

@@ -178,33 +178,33 @@ def chain_graph(spark):
     return DiGraph.from_edges(spark, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
-def _ids(df, fwd: bool) -> set[int]:
-    return {r["id"] for r in df.filter(F.col("fwd") == fwd).collect()}
-
-
-def test_frontier_depth_zero_is_seed(spark, chain_graph):
-    seed = spark.createDataFrame([(2,)], "id long")
-    got = iterate_frontier(seed, chain_graph.edges, max_depth=0)
-    assert _ids(got, True) == _ids(got, False) == {2}
+def test_frontier_depth_zero_is_seed(chain_graph):
+    fwd, bwd = iterate_frontier([2], chain_graph.edges, max_depth=0)
+    assert fwd == bwd == {2}
 
 
 @pytest.mark.parametrize("depth,expected", [(1, {0, 1}), (2, {0, 1, 2}), (9, {0, 1, 2, 3, 4})])
-def test_frontier_out_depths(spark, chain_graph, depth, expected):
-    seed = spark.createDataFrame([(0,)], "id long")
-    got = iterate_frontier(seed, chain_graph.edges, max_depth=depth)
-    assert _ids(got, True) == ({0} | expected)
-    assert _ids(got, False) == {0}
+def test_frontier_out_depths(chain_graph, depth, expected):
+    fwd, bwd = iterate_frontier([0], chain_graph.edges, max_depth=depth)
+    assert fwd == ({0} | expected)
+    assert bwd == {0}
 
 
-def test_frontier_in_direction(spark, chain_graph):
-    seed = spark.createDataFrame([(4,)], "id long")
-    got = iterate_frontier(seed, chain_graph.edges, max_depth=2)
-    assert _ids(got, False) == {2, 3, 4}
-    assert _ids(got, True) == {4}
+def test_frontier_in_direction(chain_graph):
+    fwd, bwd = iterate_frontier([4], chain_graph.edges, max_depth=2)
+    assert bwd == {2, 3, 4}
+    assert fwd == {4}
 
 
 def test_frontier_stops_at_component(spark):
     g = DiGraph.from_edges(spark, DISCONNECTED)
-    seed = g.vertices.sparkSession.createDataFrame([(0,)], "id long")
-    got = iterate_frontier(seed, g.edges, max_depth=10)
-    assert _ids(got, True) == _ids(got, False) == {0, 1}
+    fwd, bwd = iterate_frontier([0], g.edges, max_depth=10)
+    assert fwd == bwd == {0, 1}
+
+
+def test_frontier_one_spark_job_per_level(chain_graph, count_jobs):
+    edges = chain_graph.edges.localCheckpoint()
+    assert count_jobs(lambda: iterate_frontier([0], edges, max_depth=3)) == 3
+    # Level 5 finds no edge out of node 4; the loop ends with both
+    # frontiers empty instead of running the other four levels.
+    assert count_jobs(lambda: iterate_frontier([0], edges, max_depth=9)) == 5

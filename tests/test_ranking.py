@@ -65,6 +65,13 @@ def test_top_k_larger_than_n(named, scores_df):
     assert len(top_k(named, scores_df, 99)) == 5
 
 
+def test_top_k_two_spark_jobs(named, scores_df, count_jobs):
+    """One job for the sorted limit, one for the names of its rows."""
+    g = DiGraph(named.vertices.localCheckpoint(), named.edges.localCheckpoint())
+    scores = scores_df.localCheckpoint()
+    assert count_jobs(lambda: top_k(g, scores, 3)) == 2
+
+
 def test_top_k_oracle(named, scores_df):
     assert_equivalent(
         top_k(named, scores_df, 3),
