@@ -1,7 +1,5 @@
-"""Shared spark-submit plumbing for the table jobs."""
+"""Shared spark-submit plumbing for the jobs."""
 from __future__ import annotations
-
-import argparse
 
 from pyspark.sql import SparkSession
 
@@ -14,10 +12,3 @@ def session(app: str) -> SparkSession:
         .getOrCreate()
     )
 
-
-def table_args(desc: str) -> argparse.Namespace:
-    """--scale / --seed arguments common to every table job."""
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument("--scale", type=float, default=1.0, help="dataset scale factor")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    return p.parse_args()

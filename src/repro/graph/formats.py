@@ -104,7 +104,7 @@ def read_asd(spark: SparkSession, path: str) -> DiGraph:
     if len(pdf) != m:
         raise ValueError(f"ASD header declared {m} edges, file has {len(pdf)}")
     ends = pdf[["src", "dst"]].to_numpy()
-    if ends.min(initial=0) < 0 or (n and ends.max(initial=0) >= n):
+    if ((ends < 0) | (ends >= n)).any():
         raise ValueError(f"ASD edge endpoint out of range [0, {n})")
     g = DiGraph.from_edges(spark, spark.createDataFrame(pdf))
     return g

@@ -6,13 +6,17 @@ algorithm name (as used in tasks) to a callable
 score)`` — for the 2DRank pair, which "does not assign a score to each
 node, but just produces a ranking" (Section II), the rank is exposed as
 a descending pseudo-score ``-rank`` so every algorithm is top-k-able
-through the same interface.
+through the same interface. A callable's signature names the
+parameters it accepts: the wrappers below report their core function's
+(``functools.wraps``) or declare them, never a bare ``**kw``, so a task
+can be checked against it before any dataset is fetched.
 
 New algorithms can be added by registering a callable, mirroring the
 paper's "new algorithms can be easily added".
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from pyspark.sql import DataFrame
@@ -31,28 +35,32 @@ def _rank_to_score(ranked: DataFrame) -> DataFrame:
     return ranked.select("id", (-F.col("rank")).cast("double").alias("score"))
 
 
+@functools.wraps(twodrank)
 def _run_twodrank(g: DiGraph, **kw) -> DataFrame:
     return _rank_to_score(twodrank(g, **kw))
 
 
+@functools.wraps(personalized_twodrank)
 def _run_personalized_twodrank(g: DiGraph, refs, **kw) -> DataFrame:
     return _rank_to_score(personalized_twodrank(g, refs, **kw))
 
 
-def _run_cyclerank(g: DiGraph, refs, **kw) -> DataFrame:
+def _run_cyclerank(g: DiGraph, refs, *, k: int = 3, sigma="exp") -> DataFrame:
     if not isinstance(refs, int):
         if len(refs) != 1:
             raise ValueError(
                 f"cyclerank takes exactly one reference node, got {len(refs)}"
             )
         (refs,) = refs
-    return cyclerank(g, refs, **kw)
+    return cyclerank(g, refs, k=k, sigma=sigma)
 
 
+@functools.wraps(personalized_pagerank)
 def _run_ppr(g: DiGraph, refs, **kw) -> DataFrame:
     return personalized_pagerank(g, refs, **kw)
 
 
+@functools.wraps(personalized_cheirank)
 def _run_pcheirank(g: DiGraph, refs, **kw) -> DataFrame:
     return personalized_cheirank(g, refs, **kw)
 
@@ -67,11 +75,6 @@ ALGORITHMS: dict[str, AlgorithmFn] = {
     "personalized_2drank": _run_personalized_twodrank,
     "cyclerank": _run_cyclerank,
 }
-
-PERSONALIZED = frozenset(
-    {"personalized_pagerank", "personalized_cheirank", "personalized_2drank",
-     "cyclerank"}
-)
 
 
 class Executor:
@@ -88,16 +91,23 @@ class Executor:
         """Registered algorithm names, sorted."""
         return sorted(self._registry)
 
+    def algorithm(self, name: str) -> AlgorithmFn:
+        """The registered callable for ``name``.
+
+        Raises:
+            KeyError: unknown algorithm.
+        """
+        try:
+            return self._registry[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown algorithm {name!r}; know {self.algorithms()}"
+            ) from None
+
     def run(self, g: DiGraph, algorithm: str, **params) -> DataFrame:
         """Execute ``algorithm`` on ``g``; returns ``(id, score)``.
 
         Raises:
             KeyError: unknown algorithm.
         """
-        try:
-            fn = self._registry[algorithm]
-        except KeyError:
-            raise KeyError(
-                f"unknown algorithm {algorithm!r}; know {self.algorithms()}"
-            ) from None
-        return fn(g, **params)
+        return self.algorithm(algorithm)(g, **params)

@@ -37,7 +37,7 @@ class ApiGateway:
             top_k_size=top_k_size,
             dataset_scale=dataset_scale,
         )
-        self.status = Status(self.scheduler, self.datastore)
+        self.status = Status(self.datastore)
 
     def datasets(self) -> list[str]:
         """Datasets offered in the UI dropdown (registry + uploads)."""

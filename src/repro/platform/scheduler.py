@@ -1,16 +1,20 @@
 """Scheduler: receives tasks, fetches datasets, invokes the executor.
 
-Implements the request cycle of Section III: on ``submit`` the task is
-recorded PENDING; ``run`` fetches the dataset from the datastore (or a
-registry generator if not yet stored), marks it RUNNING, off-loads the
-computation to the :class:`~repro.platform.executor.Executor`, and on
-completion writes the top-k result and logs back to the datastore
-(DONE), or the failure reason (FAILED). The Status component polls
-these states.
+Implements the request cycle of Section III. A task's state is never
+held in memory: it is derived from the task's JSONL log in the
+datastore (:data:`STATE_OF_EVENT`), so any scheduler or Status over the
+same store sees it. ``submit`` logs ``submitted`` with the task JSON
+(PENDING). ``run`` reads the task back, logs ``running``, checks the
+parameters against the algorithm's signature, fetches the dataset from
+the datastore (or a registry generator if not yet stored), off-loads
+the computation to the :class:`~repro.platform.executor.Executor`, and
+writes the top-k result and ``done`` (DONE), or ``failed`` with the
+reason (FAILED), back to the datastore.
 """
 from __future__ import annotations
 
 import enum
+import inspect
 import time
 
 from pyspark.sql import SparkSession
@@ -19,7 +23,7 @@ from repro.core.ranking import top_k
 from repro.datasets.registry import load_dataset
 from repro.graph.graph import DiGraph
 from repro.platform.datastore import Datastore
-from repro.platform.executor import PERSONALIZED, Executor
+from repro.platform.executor import Executor
 from repro.platform.tasks import Task, task_id
 
 
@@ -30,6 +34,15 @@ class TaskState(enum.Enum):
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
+
+
+#: The state a task is in after each lifecycle event of its log.
+STATE_OF_EVENT = {
+    "submitted": TaskState.PENDING,
+    "running": TaskState.RUNNING,
+    "done": TaskState.DONE,
+    "failed": TaskState.FAILED,
+}
 
 
 class Scheduler:
@@ -49,9 +62,6 @@ class Scheduler:
         self.executor = executor or Executor()
         self.top_k_size = top_k_size
         self.dataset_scale = dataset_scale
-        self._states: dict[str, TaskState] = {}
-        self._errors: dict[str, str] = {}
-        self._tasks: dict[str, Task] = {}
 
     # -- dataset fetch --------------------------------------------------
 
@@ -67,53 +77,49 @@ class Scheduler:
     # -- lifecycle ------------------------------------------------------
 
     def submit(self, task: Task) -> str:
-        """Record a task as PENDING and return its permalink id."""
+        """Log a task as submitted (PENDING); return its permalink id."""
         tid = task_id(task)
-        self._tasks[tid] = task
-        self._states[tid] = TaskState.PENDING
         self.datastore.append_log(tid, "submitted", task=task.to_json())
         return tid
 
     def run(self, tid: str) -> TaskState:
-        """Execute a previously submitted task to completion.
+        """Execute a submitted task to completion.
+
+        The task is read from its last ``submitted`` log event. An
+        unknown algorithm or parameters its signature does not accept
+        fail before any dataset is fetched or Spark job started.
 
         Returns the terminal state (DONE or FAILED); the failure reason
-        is available via :meth:`error` and in the logs.
+        is in the ``failed`` log event.
+
+        Raises:
+            KeyError: ``tid`` was never submitted.
         """
-        task = self._tasks[tid]
-        self._states[tid] = TaskState.RUNNING
+        submitted = [e for e in self.datastore.read_logs(tid)
+                     if e["event"] == "submitted"]
+        if not submitted:
+            raise KeyError(tid)
+        task = Task.from_json(submitted[-1]["task"])
         self.datastore.append_log(tid, "running")
         t0 = time.monotonic()
         try:
+            fn = self.executor.algorithm(task.algorithm)
+            inspect.signature(fn).bind(None, **task.kwargs)
             g = self._fetch_dataset(task.dataset)
-            params = task.kwargs
-            if task.algorithm in PERSONALIZED and "refs" not in params:
-                raise ValueError(
-                    f"algorithm {task.algorithm!r} requires a 'refs' parameter"
-                )
-            scores = self.executor.run(g, task.algorithm, **params)
+            scores = fn(g, **task.kwargs)
             self.datastore.save_result(tid, top_k(g, scores, self.top_k_size))
         except Exception as exc:  # noqa: BLE001 — terminal state captures all
-            self._states[tid] = TaskState.FAILED
-            self._errors[tid] = f"{type(exc).__name__}: {exc}"
-            self.datastore.append_log(tid, "failed", error=self._errors[tid])
-            return self._states[tid]
-        self._states[tid] = TaskState.DONE
+            self.datastore.append_log(
+                tid, "failed", error=f"{type(exc).__name__}: {exc}"
+            )
+            return TaskState.FAILED
         self.datastore.append_log(
             tid, "done", seconds=round(time.monotonic() - t0, 3)
         )
-        return self._states[tid]
+        return TaskState.DONE
 
     def submit_and_run(self, task: Task) -> str:
         """Convenience: submit then run; returns the permalink id."""
         tid = self.submit(task)
         self.run(tid)
         return tid
-
-    def state(self, tid: str) -> TaskState | None:
-        """Current state of a task id (None if unknown)."""
-        return self._states.get(tid)
-
-    def error(self, tid: str) -> str | None:
-        """Failure reason for a FAILED task."""
-        return self._errors.get(tid)

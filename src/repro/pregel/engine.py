@@ -10,9 +10,9 @@ packages, so this module reimplements the superstep model of Pregel
 * **One shuffle per superstep.** Each vertex emits one message per
   element of ``explode(out)`` (``send_msg``). The messages are unioned
   with the vertices' own rows and reduced by a single ``groupBy("id")``
-  that keeps the state (``first`` non-null) and combines the messages
-  (``agg_msgs``). The vertex program (``update``) then computes the new
-  value from the state columns and ``msg``. Groups without a state row
+  that keeps the state (``first`` non-null) and sums the messages into
+  ``msg``. The vertex program (``update``) then computes the new value
+  from the state columns and ``msg``. Groups without a state row
   are dropped: messages to unknown ids vanish.
 * **Aggregators.** Global values (``aggregators``) and the L1 delta
   between successive values are computed with ``DataFrame.observe``
@@ -66,7 +66,6 @@ def pregel(
     update: Callable[[dict[str, float]], Column],
     *,
     aggregators: dict[str, Column] | None = None,
-    agg_msgs: Callable[[Column], Column] = F.sum,
     max_iter: int = 50,
     tol: float = 1e-9,
 ) -> PregelResult:
@@ -83,14 +82,12 @@ def pregel(
             ``out_degree``, one row per edge) to a frame ``(dst, msg)``.
         update: the vertex program. Given the previous superstep's
             aggregator values by name, returns the ``Column`` of the new
-            ``value`` over the state columns and ``msg`` (null for a
-            vertex that received no message).
+            ``value`` over the state columns and ``msg``, the sum of the
+            vertex's incoming messages (null if it received none).
         aggregators: global aggregate columns over the state (the state
             columns and ``out``), by name. Each is evaluated on the state
             a superstep produces (and on the initial state) and passed
             to ``update`` in the next superstep.
-        agg_msgs: aggregate applied to the per-destination ``msg``
-            column (default: sum).
         max_iter: superstep cap, at least 1.
         tol: L1 convergence threshold, at least 0.
 
@@ -126,7 +123,7 @@ def pregel(
     to_id = (F.col("dst").alias("id"), "msg")
     reduce = (
         *(F.first(c, ignorenulls=True).alias(c) for c in (*fields, "out")),
-        agg_msgs(F.col("msg")).alias("msg"),
+        F.sum("msg").alias("msg"),
     )
     has_state = F.col("out").isNotNull()
     value = F.col("value")

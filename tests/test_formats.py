@@ -126,6 +126,14 @@ def test_asd_out_of_range_raises(spark, tmp_path):
         read_asd(spark, str(p))
 
 
+def test_asd_empty_header_with_arc_raises(spark, tmp_path):
+    """A header of 0 vertices admits no endpoint at all."""
+    p = tmp_path / "z.asd"
+    p.write_text("0 1\n0 0\n")
+    with pytest.raises(ValueError, match="out of range"):
+        read_asd(spark, str(p))
+
+
 def test_asd_negative_endpoint_raises(spark, tmp_path):
     p = tmp_path / "n.asd"
     p.write_text("2 1\n-1 0\n")

@@ -279,9 +279,9 @@ def test_scheduler_states(spark, tmp_path):
     sched = Scheduler(spark, store, dataset_scale=0.1, top_k_size=5)
     t = Task.make("twitter-8m", "pagerank", max_iter=10)
     tid = sched.submit(t)
-    assert sched.state(tid) is TaskState.PENDING
+    status = Status(store)
+    assert status.poll(tid)["state"] == "pending"
     assert sched.run(tid) is TaskState.DONE
-    status = Status(sched, store)
     assert status.poll(tid)["state"] == "done"
     assert len(status.result(tid)) == 5
 
@@ -295,7 +295,7 @@ def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
     sched = Scheduler(spark, store, top_k_size=3)
     tid = sched.submit(Task.make("bowtie", "cyclerank", refs=[0], k=5))
     assert count_jobs(lambda: sched.run(tid)) <= 7
-    assert sched.state(tid) is TaskState.DONE
+    assert Status(store).poll(tid)["state"] == "done"
 
 
 def test_scheduler_caches_generated_dataset(spark, tmp_path):
@@ -307,4 +307,65 @@ def test_scheduler_caches_generated_dataset(spark, tmp_path):
     tid = sched.submit_and_run(
         Task.make("twitter-cop27", "cheirank", max_iter=5)
     )
-    assert sched.state(tid) is TaskState.DONE
+    assert Status(store).poll(tid)["state"] == "done"
+
+
+# -- state lives in the datastore log -----------------------------------
+
+
+def test_restarted_gateway_polls_stored_states(spark, tmp_path):
+    """A second gateway over the same root sees what the first one ran."""
+    root = str(tmp_path / "gw")
+    first = ApiGateway(spark, root, top_k_size=3)
+    first.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    done, failed = first.submit_query_set([
+        Task.make("bowtie", "cyclerank", refs=[0], k=3),
+        Task.make("bowtie", "cyclerank", refs=[0], k=1),
+    ])
+    second = ApiGateway(spark, root, top_k_size=3)
+    poll = second.poll(done)
+    assert poll["state"] == "done"
+    assert poll["has_result"]
+    poll = second.poll(failed)
+    assert poll["state"] == "failed"
+    assert "k must be >= 2" in poll["error"]
+
+
+def test_second_scheduler_runs_submitted_task(spark, tmp_path):
+    store = Datastore(str(tmp_path / "s2"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    tid = Scheduler(spark, store).submit(
+        Task.make("bowtie", "cyclerank", refs=[0], k=3)
+    )
+    assert Scheduler(spark, store, top_k_size=3).run(tid) is TaskState.DONE
+    assert len(Status(store).result(tid)) == 3
+
+
+def test_run_unsubmitted_task_raises(spark, tmp_path):
+    with pytest.raises(KeyError):
+        Scheduler(spark, Datastore(str(tmp_path / "u"))).run("deadbeef")
+
+
+@pytest.mark.parametrize(
+    "task, expected",
+    [
+        (Task.make("twitter-cop27", "pagerank", alpah=0.85), "alpah"),
+        (Task.make("twitter-cop27", "quantumrank"), "unknown algorithm"),
+        (Task.make("twitter-cop27", "personalized_pagerank"), "refs"),
+    ],
+    ids=["misspelt-keyword", "unknown-algorithm", "missing-refs"],
+)
+def test_bad_task_fails_before_dataset_fetch(spark, tmp_path, count_jobs,
+                                            task, expected):
+    """Parameters are checked against the algorithm's signature before
+    any Spark job, and before the dataset is generated or stored."""
+    store = Datastore(str(tmp_path / "fresh"))
+    sched = Scheduler(spark, store, dataset_scale=0.1)
+    tid = sched.submit(task)
+    states = []
+    assert count_jobs(lambda: states.append(sched.run(tid))) == 0
+    assert states == [TaskState.FAILED]
+    poll = Status(store).poll(tid)
+    assert poll["state"] == "failed"
+    assert expected in poll["error"]
+    assert not store.has_dataset("twitter-cop27")

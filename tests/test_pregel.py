@@ -156,20 +156,6 @@ def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
     assert count_jobs(run) == 0
 
 
-def test_agg_max_messages(spark):
-    edges = [(0, 2), (1, 2)]
-    res = pregel(
-        _state(spark, {0: 3.0, 1: 7.0, 2: 0.0}),
-        _edges(spark, edges),
-        _send_value,
-        _replace_with_msg,
-        agg_msgs=F.max,
-        max_iter=1,
-    )
-    got = {r["id"]: r["value"] for r in res.state.collect()}
-    assert got[2] == 7.0
-
-
 # -- iterate_frontier ---------------------------------------------------
 
 
