@@ -90,6 +90,17 @@ def stable_seed(*parts) -> int:
     return zlib.crc32("|".join(str(p) for p in parts).encode("utf-8"))
 
 
+#: Background→background out-degree (scaled by density; links stay
+#: within the node's half).
+BG_OUT = 4
+#: Probability of each ref↔member reciprocal pair beyond the guaranteed
+#: ones (scaled by density).
+P_REF_MEMBER = 0.9
+#: Fraction of back-half background nodes linking to each reference
+#: node (one-way fan-in to the ref).
+REF_IN_FRAC = 0.05
+
+
 def _default_hub_fracs(n: int) -> tuple[float, ...]:
     """Strictly decreasing background fan-in fractions, 0.9 down to 0.05."""
     return tuple(0.9 * (0.72**i) + 0.02 for i in range(n))
@@ -105,11 +116,8 @@ def build_strata_graph(
     density: float = 1.0,
     hub_fracs: tuple[float, ...] | None = None,
     popular_members: dict[str, float] | None = None,
-    bg_out: int = 4,
     p_bg_recip: float = 0.25,
-    p_ref_member: float = 0.9,
     p_member_member: float = 0.5,
-    ref_in_frac: float = 0.05,
 ) -> LabeledGraph:
     """Generate a stratified graph (see module docstring).
 
@@ -129,15 +137,9 @@ def build_strata_graph(
             (e.g. "The Catcher in the Rye" in Table II). Fans are drawn
             from the back half only (preserves the cycle invariant);
             the effective fraction is capped by the back-half size.
-        bg_out: background→background out-degree (scaled by density;
-            links stay within the node's half).
         p_bg_recip: probability a background link is reciprocated.
-        p_ref_member: probability of each ref↔member reciprocal pair
-            beyond the guaranteed ones (scaled by density).
         p_member_member: base member→member link probability; decays
             with member position to encode the relevance order.
-        ref_in_frac: fraction of back-half background nodes linking to
-            each reference node (one-way fan-in to the ref).
 
     Returns:
         A :class:`LabeledGraph`.
@@ -196,7 +198,7 @@ def build_strata_graph(
     #    popularity order.
 
     # 3. background -> background, within-half, partially reciprocated.
-    d_bg = max(1, int(round(bg_out * density)))
+    d_bg = max(1, int(round(BG_OUT * density)))
     for half in (bg_front, bg_back):
         for b in half:
             tgts = rng.choice(half, size=min(d_bg, len(half)), replace=False)
@@ -209,7 +211,7 @@ def build_strata_graph(
     for c in clusters:
         rid = name_to_id[c.ref]
         mids = np.array([name_to_id[m] for m in c.members], dtype="int64")
-        p_rm = min(1.0, p_ref_member * density)
+        p_rm = min(1.0, P_REF_MEMBER * density)
         for j, m in enumerate(mids):
             if j < c.n_guaranteed or rng.random() < p_rm:
                 add([rid, m], [m, rid])
@@ -230,7 +232,7 @@ def build_strata_graph(
         # members -> front-half background (never a ref in-linker).
         add(mids, rng.choice(bg_front, size=len(mids), replace=True))
         # back-half background -> ref (one-way fan-in).
-        n_in = max(2, int(ref_in_frac * len(bg_back)))
+        n_in = max(2, int(REF_IN_FRAC * len(bg_back)))
         add(rng.choice(bg_back, size=n_in, replace=False), np.full(n_in, rid))
 
     pdf = pd.DataFrame(

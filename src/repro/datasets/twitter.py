@@ -2,17 +2,14 @@
 
 Stand-in for the paper's two keyword-collected Twitter datasets. Users
 are nodes; a directed edge means the source interacted with the target
-via one of ``retweet``/``reply``/``quote``/``mention``. The generator
-produces a raw *interaction* frame (with the ``kind`` column) and the
-collapsed distinct-edge graph used by the algorithms — plus the usual
-planted strata (influencer hubs, a topical community around a seed
-account) so the dataset-comparison use case behaves like the others.
+at least once (a retweet, reply, quote or mention: the interactions are
+collapsed to distinct edges, as the algorithms use them). The generator
+plants the usual strata (influencer hubs, a topical community around a
+seed account) so the dataset-comparison use case behaves like the others.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.datasets.builder import (
     ClusterSpec,
@@ -22,7 +19,6 @@ from repro.datasets.builder import (
 )
 
 TOPICS = ("cop27", "8m")
-INTERACTION_KINDS = ("retweet", "reply", "quote", "mention")
 
 #: Per-topic planted accounts: influencer hubs and the seed community.
 _TOPIC_SPEC: dict[str, dict] = {
@@ -65,23 +61,3 @@ def twitter(
         p_bg_recip=0.35,
     )
 
-
-def twitter_interactions(
-    spark: SparkSession, topic: str = "cop27", *, scale: float = 1.0, seed: int = 0
-) -> DataFrame:
-    """Raw interaction events ``(src, dst, kind)`` for a topic.
-
-    Each distinct edge of :func:`twitter` yields 1–4 events with kinds
-    drawn from :data:`INTERACTION_KINDS` (retweets most common).
-    Collapsing this frame to distinct ``(src, dst)`` reproduces the
-    graph exactly — tested against the DuckDB oracle.
-    """
-    g = twitter(spark, topic, scale=scale, seed=seed)
-    edges = g.graph.edges.toPandas().sort_values(["src", "dst"], ignore_index=True)
-    rng = np.random.default_rng(stable_seed("twitter-events", topic, seed))
-    reps = rng.integers(1, 5, size=len(edges))
-    rows = edges.loc[edges.index.repeat(reps)].reset_index(drop=True)
-    rows["kind"] = rng.choice(
-        INTERACTION_KINDS, size=len(rows), p=(0.5, 0.2, 0.1, 0.2)
-    )
-    return spark.createDataFrame(pd.DataFrame(rows))

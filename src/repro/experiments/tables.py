@@ -1,32 +1,36 @@
 """Reproduction harnesses for Tables I–III.
 
 Each ``tableN`` function runs the paper's exact algorithm/parameter
-grid on the corresponding synthetic dataset and returns a
-:class:`TableResult`: the same top-5 columns the paper prints, plus the
-quantitative *shape metrics* (planted-hub contamination per column)
-that our substitution makes measurable. ``jobs/tableN.py`` wraps each
-for spark-submit; ``benchmarks/bench_tables.py`` times them;
-``tests/test_tables.py`` asserts the shape claims.
+grid on the corresponding synthetic dataset as one query set through
+the demo platform (Figure 1): it stores the generated graph in an
+:class:`~repro.platform.gateway.ApiGateway` over a temporary root,
+submits one task per column, and reads every column from the stored
+result rows. It returns a :class:`TableResult`: the same top-5 columns
+the paper prints, plus the quantitative *shape metrics* (planted-hub
+contamination per column) that our substitution makes measurable.
+``jobs/table.py --table N`` runs each under spark-submit;
+``benchmarks/bench_tables.py`` times them; ``tests/test_tables.py``
+asserts the shape claims.
 
 Conventions from the paper:
 
-- Table I lists the reference article itself at rank 1 for CR and PPR
-  (``include_ref=True``); Tables II and III exclude it.
+- Table I lists the reference article itself at rank 1 for CR and PPR;
+  Tables II and III drop it from the stored rows.
 - PR columns are global (no reference node).
 """
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.core.cyclerank import cyclerank
-from repro.core.pagerank import pagerank
-from repro.core.ppr import personalized_pagerank
-from repro.core.ranking import contamination, top_k
+from repro.core.ranking import contamination
 from repro.datasets.amazon import DYSTOPIA_REF, TOLKIEN_REF, amazon
 from repro.datasets.builder import LabeledGraph
 from repro.datasets.wikilink import FAKE_NEWS, wikilink
+from repro.platform.gateway import ApiGateway
+from repro.platform.tasks import Task
 
 TABLE3_LANGS = ("de", "en", "fr", "it", "nl", "pl")
 
@@ -71,16 +75,61 @@ class TableResult:
         return "\n".join(lines)
 
 
-def _top_names(
-    lg: LabeledGraph,
-    scores: DataFrame,
-    k: int = 5,
-    *,
-    exclude: frozenset[str] = frozenset(),
-) -> list[str]:
-    """Top-``k`` names, optionally dropping excluded ones (the ref)."""
-    names = top_k(lg.graph, scores, k + len(exclude))["name"]
-    return [n for n in names if n not in exclude][:k]
+#: A column's metric key, its task, and the name it drops (the ref) or None.
+Column = tuple[str, Task, str | None]
+
+
+def _top_names(names: list[str], exclude: str | None) -> list[str]:
+    """The first five stored names, without the excluded one (the ref)."""
+    return [n for n in names if n != exclude][:5]
+
+
+def _query_set_table(
+    spark: SparkSession,
+    title: str,
+    graphs: dict[str, LabeledGraph],
+    columns: dict[str, Column],
+) -> TableResult:
+    """Store ``graphs`` (registry name → generated graph) in a gateway
+    over a temporary root, submit one task per column as one query set,
+    and fill each column from its stored result rows.
+
+    Raises:
+        RuntimeError: naming the column and the logged error of a task
+            that failed.
+    """
+    out = TableResult(title=title)
+    with tempfile.TemporaryDirectory() as root:
+        gw = ApiGateway(spark, root)
+        for name, lg in graphs.items():
+            gw.datastore.save_dataset(name, lg.graph)
+        tids = gw.submit_query_set([task for _, task, _ in columns.values()])
+        for (column, (metric, task, exclude)), tid in zip(columns.items(), tids):
+            status = gw.poll(tid)
+            if status["state"] != "done":
+                raise RuntimeError(f"column {column!r}: {status.get('error')}")
+            names = _top_names(list(gw.result(tid)["name"]), exclude)
+            out.columns[column] = names
+            out.metrics[f"hub_rate:{metric}"] = contamination(
+                names, set(graphs[task.dataset].hubs)
+            )
+    return out
+
+
+def _pr_cr_ppr(
+    spark: SparkSession, title: str, dataset: str, lg: LabeledGraph,
+    refs: tuple[str, str], *, k: int, ppr_alpha: float, exclude_ref: bool,
+) -> TableResult:
+    """Tables I and II: global PR (α=0.85), then CR (σ=e⁻ⁿ) and PPR per ref."""
+    pr = Task.make(dataset, "pagerank", alpha=0.85)
+    columns: dict[str, Column] = {"PageRank": ("PageRank", pr, None)}
+    for ref in refs:
+        rid, exclude = [lg.id_of(ref)], ref if exclude_ref else None
+        cr = Task.make(dataset, "cyclerank", refs=rid, k=k, sigma="exp")
+        ppr = Task.make(dataset, "personalized_pagerank", refs=rid, alpha=ppr_alpha)
+        columns[f"Cyclerank[{ref}]"] = (f"CR[{ref}]", cr, exclude)
+        columns[f"Pers.PageRank[{ref}]"] = (f"PPR[{ref}]", ppr, exclude)
+    return _query_set_table(spark, title, {dataset: lg}, columns)
 
 
 def table1(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableResult:
@@ -89,26 +138,15 @@ def table1(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableRe
     Parameters are the paper's: PR α=0.85; CR K=3, σ=e⁻ⁿ; PPR α=0.3.
     Reference articles: "Freddie Mercury" and "Pasta".
     """
-    lg = wikilink(spark, "en", 2018, scale=scale, seed=seed)
-    lg.graph.cache()
-    hubs = set(lg.hubs)
-    out = TableResult(
-        title=(
-            "Table I — top-5 by PR(a=0.85), CR(K=3, s=e^-n), PPR(a=0.3); "
-            "en Wikipedia 2018-03-01 (synthetic); refs: Freddie Mercury, Pasta"
-        )
+    title = (
+        "Table I — top-5 by PR(a=0.85), CR(K=3, s=e^-n), PPR(a=0.3); "
+        "en Wikipedia 2018-03-01 (synthetic); refs: Freddie Mercury, Pasta"
     )
-    out.columns["PageRank"] = _top_names(lg, pagerank(lg.graph, alpha=0.85))
-    out.metrics["hub_rate:PageRank"] = contamination(out.columns["PageRank"], hubs)
-    for ref in ("Freddie Mercury", "Pasta"):
-        rid = lg.id_of(ref)
-        cr = _top_names(lg, cyclerank(lg.graph, rid, k=3, sigma="exp"))
-        ppr = _top_names(lg, personalized_pagerank(lg.graph, rid, alpha=0.3))
-        out.columns[f"Cyclerank[{ref}]"] = cr
-        out.columns[f"Pers.PageRank[{ref}]"] = ppr
-        out.metrics[f"hub_rate:CR[{ref}]"] = contamination(cr, hubs)
-        out.metrics[f"hub_rate:PPR[{ref}]"] = contamination(ppr, hubs)
-    return out
+    lg = wikilink(spark, "en", 2018, scale=scale, seed=seed)
+    refs = ("Freddie Mercury", "Pasta")
+    return _pr_cr_ppr(
+        spark, title, "wikilink-en-2018", lg, refs, k=3, ppr_alpha=0.3, exclude_ref=False
+    )
 
 
 def table2(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableResult:
@@ -117,52 +155,32 @@ def table2(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableRe
     Parameters are the paper's: PR α=0.85; CR K=5, σ=e⁻ⁿ; PPR α=0.85.
     Reference items: "1984" and "The Fellowship of the Ring"; the
     reference itself is excluded from the personalized columns (as in
-    the paper's table).
+    the paper's table). The popularity intruders for the Fellowship
+    query are the Potter volumes, which are among the planted hubs.
     """
-    lg = amazon(spark, scale=scale, seed=seed)
-    lg.graph.cache()
-    # The popularity intruders for the Fellowship query are the Potter
-    # volumes (hubs 2..4); the planted-popularity set for metrics is all
-    # hubs plus the "popular member" best-sellers.
-    hubs = set(lg.hubs)
-    out = TableResult(
-        title=(
-            "Table II — top-5 by PR(a=0.85), CR(K=5, s=e^-n), PPR(a=0.85); "
-            "Amazon co-purchase (synthetic); refs: 1984, The Fellowship of the Ring"
-        )
+    title = (
+        "Table II — top-5 by PR(a=0.85), CR(K=5, s=e^-n), PPR(a=0.85); "
+        "Amazon co-purchase (synthetic); refs: 1984, The Fellowship of the Ring"
     )
-    out.columns["PageRank"] = _top_names(lg, pagerank(lg.graph, alpha=0.85))
-    out.metrics["hub_rate:PageRank"] = contamination(out.columns["PageRank"], hubs)
-    for ref in (DYSTOPIA_REF, TOLKIEN_REF):
-        rid = lg.id_of(ref)
-        excl = frozenset({ref})
-        cr = _top_names(lg, cyclerank(lg.graph, rid, k=5, sigma="exp"), exclude=excl)
-        ppr = _top_names(
-            lg, personalized_pagerank(lg.graph, rid, alpha=0.85), exclude=excl
-        )
-        out.columns[f"Cyclerank[{ref}]"] = cr
-        out.columns[f"Pers.PageRank[{ref}]"] = ppr
-        out.metrics[f"hub_rate:CR[{ref}]"] = contamination(cr, hubs)
-        out.metrics[f"hub_rate:PPR[{ref}]"] = contamination(ppr, hubs)
-    return out
+    lg = amazon(spark, scale=scale, seed=seed)
+    refs = (DYSTOPIA_REF, TOLKIEN_REF)
+    return _pr_cr_ppr(
+        spark, title, "amazon", lg, refs, k=5, ppr_alpha=0.85, exclude_ref=True
+    )
 
 
 def table3(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> TableResult:
     """Table III: CR (K=3, σ=e⁻ⁿ) top-5 from "Fake news" across six
     Wikipedia language editions (de, en, fr, it, nl, pl)."""
-    out = TableResult(
-        title=(
-            "Table III — Cyclerank(K=3, s=e^-n) top-5 from 'Fake news' "
-            "across language editions (synthetic wikilink graphs)"
-        )
+    title = (
+        "Table III — Cyclerank(K=3, s=e^-n) top-5 from 'Fake news' "
+        "across language editions (synthetic wikilink graphs)"
     )
+    graphs: dict[str, LabeledGraph] = {}
+    columns: dict[str, Column] = {}
     for lang in TABLE3_LANGS:
-        lg = wikilink(spark, lang, 2018, scale=scale, seed=seed)
-        ref, _ = FAKE_NEWS[lang]
-        rid = lg.id_of(ref)
-        names = _top_names(
-            lg, cyclerank(lg.graph, rid, k=3, sigma="exp"), exclude=frozenset({ref})
-        )
-        out.columns[table3_column(lang)] = names
-        out.metrics[f"hub_rate:CR[{lang}]"] = contamination(names, set(lg.hubs))
-    return out
+        dataset, (ref, _) = f"wikilink-{lang}-2018", FAKE_NEWS[lang]
+        graphs[dataset] = lg = wikilink(spark, lang, 2018, scale=scale, seed=seed)
+        task = Task.make(dataset, "cyclerank", refs=[lg.id_of(ref)], k=3, sigma="exp")
+        columns[table3_column(lang)] = (f"CR[{lang}]", task, ref)
+    return _query_set_table(spark, title, graphs, columns)

@@ -108,18 +108,6 @@ class DiGraph:
             )
         return DiGraph(vertices=v, edges=e)
 
-    @staticmethod
-    def from_pandas(
-        spark: SparkSession, edges: pd.DataFrame, vertices: pd.DataFrame | None = None
-    ) -> "DiGraph":
-        """Build a graph from pandas frames (``src/dst`` and optional ``id/name``)."""
-        names = None
-        if vertices is not None:
-            names = dict(zip(vertices["id"].astype("int64"), vertices["name"]))
-        return DiGraph.from_edges(
-            spark, spark.createDataFrame(edges[EDGE_SCHEMA.names]), names
-        )
-
     # -- basic properties ----------------------------------------------
 
     def num_vertices(self) -> int:

@@ -5,7 +5,9 @@ datasets [and] provides storage for results and logs". Here:
 
 - datasets are stored as two parquet directories (``vertices/``,
   ``edges/``) written and read with Spark (datasets can be large), with
-  the graph's fixed schemas, so loading one starts no Spark job;
+  the graph's fixed schemas, so loading one starts no Spark job; a
+  dataset's name is its directory under ``datasets/``, so it must be
+  one plain path component;
 - results are small top-k frames, stored as single parquet files via
   pandas/pyarrow;
 - logs are JSONL, append-only, one file per task.
@@ -36,6 +38,10 @@ class Datastore:
     # -- datasets -------------------------------------------------------
 
     def _dataset_dir(self, name: str) -> str:
+        """Raises ``ValueError`` unless ``name`` is one plain path
+        component (``""``, ``.``, ``..`` and ``a/b`` are not)."""
+        if name in ("", os.curdir, os.pardir) or os.path.basename(name) != name:
+            raise ValueError(f"dataset name {name!r} is not one plain path component")
         return os.path.join(self.root, "datasets", name)
 
     def save_dataset(self, name: str, g: DiGraph) -> None:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.datasets.amazon import DYSTOPIA_REF, HUBS as AMAZON_HUBS, TOLKIEN_REF, amazon
 from repro.datasets.builder import ClusterSpec, build_strata_graph, stable_seed
-from repro.datasets.twitter import twitter, twitter_interactions
+from repro.datasets.twitter import twitter
 from repro.datasets.wikilink import FAKE_NEWS, HUBS, LANGUAGES, YEARS, wikilink
 from repro.oracle import assert_equivalent
 from repro.reference import simple_cycles_ref
@@ -256,19 +256,3 @@ def test_twitter_topics_generate(spark, topic):
     assert lg.graph.num_vertices() > 0
     assert len(lg.clusters) == 1
 
-
-def test_twitter_interactions_collapse_to_graph(spark):
-    """Distinct (src, dst) over the event stream equals the graph's edge
-    set — checked via the DuckDB oracle."""
-    events = twitter_interactions(spark, "cop27", scale=0.1)
-    lg = twitter(spark, "cop27", scale=0.1)
-    assert_equivalent(
-        lg.graph.edges,
-        "SELECT DISTINCT src, dst FROM events",
-        events=events.toPandas(),
-    )
-
-
-def test_twitter_interaction_kinds(spark):
-    events = twitter_interactions(spark, "8m", scale=0.1).toPandas()
-    assert set(events["kind"]) <= {"retweet", "reply", "quote", "mention"}

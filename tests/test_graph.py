@@ -43,13 +43,6 @@ def test_explicit_names_with_fallback(bowtie):
     assert names[3] == "node_3"
 
 
-def test_from_pandas(spark):
-    e = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
-    v = pd.DataFrame({"id": [0, 1, 2], "name": ["a", "b", "c"]})
-    g = DiGraph.from_pandas(spark, e, v)
-    assert g.id_of("b") == 1
-
-
 # -- degrees (checked against the DuckDB oracle) ------------------------
 
 

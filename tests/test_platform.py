@@ -1,9 +1,12 @@
 """The demo-platform substrate: tasks, datastore, executor, scheduler,
 status, gateway (Figure 1 / Section III request cycle)."""
+import os
+
 import pandas as pd
 import pytest
 
 from tests.graphs import BOWTIE
+from repro.experiments.tables import table3, table3_column
 from repro.graph.graph import DiGraph
 from repro.platform.datastore import Datastore
 from repro.platform.executor import ALGORITHMS, Executor
@@ -86,6 +89,13 @@ def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
 def test_datastore_missing_dataset_raises(spark, store):
     with pytest.raises(FileNotFoundError):
         store.load_dataset(spark, "ghost")
+
+
+def test_datastore_save_outside_datasets_raises(spark, store):
+    with pytest.raises(ValueError, match="dataset name"):
+        store.save_dataset("../x", DiGraph.from_edges(spark, BOWTIE))
+    assert sorted(os.listdir(store.root)) == ["datasets", "logs", "results"]
+    assert os.listdir(os.path.join(store.root, "datasets")) == []
 
 
 def test_datastore_list(spark, store):
@@ -369,3 +379,33 @@ def test_bad_task_fails_before_dataset_fetch(spark, tmp_path, count_jobs,
     assert poll["state"] == "failed"
     assert expected in poll["error"]
     assert not store.has_dataset("twitter-cop27")
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../logs"])
+def test_dataset_name_not_one_path_component_fails(spark, tmp_path, count_jobs,
+                                                   name):
+    """Such a name aliases ``datasets/`` or leaves it: the task fails on
+    the name, before any Spark job."""
+    gw = ApiGateway(spark, str(tmp_path / "names"))
+    tids = []
+    task = Task.make(name, "pagerank")
+    assert count_jobs(lambda: tids.extend(gw.submit_query_set([task]))) == 0
+    poll = gw.poll(tids[0])
+    assert poll["state"] == "failed"
+    assert "dataset name" in poll["error"]
+
+
+# -- the paper's tables run as query sets -------------------------------
+
+
+def test_table_raises_on_failed_task(spark, monkeypatch):
+    """A Table III column comes from a stored result, so a failed task
+    raises naming the column and the logged error."""
+    def explode(g, refs, **kw):
+        raise RuntimeError("cyclerank exploded")
+
+    monkeypatch.setitem(ALGORITHMS, "cyclerank", explode)
+    with pytest.raises(RuntimeError) as err:
+        table3(spark, scale=0.2)
+    assert table3_column("de") in str(err.value)
+    assert "cyclerank exploded" in str(err.value)
