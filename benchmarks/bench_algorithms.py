@@ -21,10 +21,7 @@ SCALE = 2.0
 
 @pytest.fixture(scope="module")
 def wiki(spark):
-    lg = wikilink(spark, "en", 2018, scale=SCALE, seed=0)
-    lg.graph.cache()
-    lg.graph.edges.count()  # materialize before timing
-    return lg
+    return wikilink(spark, "en", 2018, scale=SCALE, seed=0)
 
 
 @pytest.fixture(scope="module")

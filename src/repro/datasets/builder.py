@@ -238,9 +238,8 @@ def build_strata_graph(
     pdf = pd.DataFrame(
         {"src": np.concatenate(src_parts), "dst": np.concatenate(dst_parts)}
     )
-    pdf = pdf[pdf["src"] != pdf["dst"]].drop_duplicates(ignore_index=True)
     g = DiGraph.from_edges(
-        spark, spark.createDataFrame(pdf), names=dict(enumerate(names))
+        spark, pdf[pdf["src"] != pdf["dst"]], names=dict(enumerate(names))
     )
     return LabeledGraph(
         graph=g,

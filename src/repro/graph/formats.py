@@ -1,7 +1,7 @@
 """Graph file formats supported by the demo's upload feature.
 
-The demo accepts three formats (Section IV-B); we implement reader and
-writer for each over the local filesystem:
+The demo accepts three formats (Section IV-B); we implement a reader for
+each over the local filesystem:
 
 - **edgelist CSV**: one ``src,dst`` pair per line, optional header.
 - **Pajek** ``.net``: ``*Vertices N`` followed by ``id "name"`` lines,
@@ -10,10 +10,10 @@ writer for each over the local filesystem:
   ``N M`` (vertex and edge counts) followed by ``M`` lines of
   0-indexed ``src dst`` pairs.
 
-Readers return a :class:`repro.graph.DiGraph`; parsing is done with
-Spark's CSV reader where the format is line-oriented, falling back to a
-driver-side parse for Pajek's two-section layout (upload files are
-small by definition).
+Every reader parses its file on the driver (upload files are small by
+definition) and builds the graph there with :meth:`DiGraph.from_edges`,
+so reading starts no Spark job. A row that does not parse raises
+instead of being dropped.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import os
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.graph.graph import EDGE_SCHEMA, DiGraph
 
@@ -29,16 +28,30 @@ from repro.graph.graph import EDGE_SCHEMA, DiGraph
 # -- edgelist CSV -------------------------------------------------------
 
 
-def read_edgelist(spark: SparkSession, path: str, header: bool = False) -> DiGraph:
-    """Read a ``src,dst`` CSV edge list into a DiGraph."""
-    df = spark.read.csv(path, schema=EDGE_SCHEMA, header=header)
-    return DiGraph.from_edges(spark, df)
+def read_edgelist(spark: SparkSession, path: str) -> DiGraph:
+    """Read a ``src,dst`` CSV edge list into a DiGraph.
 
+    Columns after the second (a weight, say) are ignored. A first line
+    in which neither field is an integer (``src,dst``) is a header.
 
-def write_edgelist(g: DiGraph, path: str) -> None:
-    """Write ``src,dst`` lines (no header) to a single CSV file."""
-    pdf = g.edges.orderBy("src", "dst").toPandas()
-    pdf.to_csv(path, index=False, header=False)
+    Raises:
+        ValueError: a row has fewer than two fields or a field that is
+            not an integer, or the file has no edge rows.
+    """
+    rows = pd.read_csv(path, header=None, dtype=str, keep_default_na=False)
+    if rows.shape[1] < 2:
+        raise ValueError(f"edge list {path} is not comma-separated 'src,dst'")
+    pairs = rows.iloc[:, :2].set_axis(EDGE_SCHEMA.names, axis=1)
+    is_int = pairs.apply(lambda c: c.str.fullmatch(r"\s*[+-]?\d+\s*"))
+    if not is_int.iloc[0].any():
+        pairs, is_int = pairs.iloc[1:], is_int.iloc[1:]
+    bad = ~is_int.all(axis=1)
+    if bad.any():
+        row = ",".join(pairs[bad].iloc[0])
+        raise ValueError(f"edge list {path}: row {row!r} is not two integers")
+    if pairs.empty:
+        raise ValueError(f"no edges found in edge list {path}")
+    return DiGraph.from_edges(spark, pairs)
 
 
 # -- Pajek .net ---------------------------------------------------------
@@ -73,21 +86,6 @@ def read_pajek(spark: SparkSession, path: str) -> DiGraph:
     return DiGraph.from_edges(spark, edges, names)
 
 
-def write_pajek(g: DiGraph, path: str) -> None:
-    """Write a Pajek ``.net`` file. Vertex ids are written as-is (must be >=1)."""
-    vs = g.vertices.orderBy("id").toPandas()
-    es = g.edges.orderBy("src", "dst").toPandas()
-    if (vs["id"] < 1).any():
-        raise ValueError("pajek requires 1-indexed vertex ids")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"*Vertices {len(vs)}\n")
-        for _, row in vs.iterrows():
-            fh.write(f'{row["id"]} "{row["name"]}"\n')
-        fh.write("*Arcs\n")
-        for _, row in es.iterrows():
-            fh.write(f'{row["src"]} {row["dst"]}\n')
-
-
 # -- ASD ----------------------------------------------------------------
 
 
@@ -106,24 +104,12 @@ def read_asd(spark: SparkSession, path: str) -> DiGraph:
     ends = pdf[["src", "dst"]].to_numpy()
     if ((ends < 0) | (ends >= n)).any():
         raise ValueError(f"ASD edge endpoint out of range [0, {n})")
-    g = DiGraph.from_edges(spark, spark.createDataFrame(pdf))
-    return g
-
-
-def write_asd(g: DiGraph, path: str) -> None:
-    """Write an ASD file (header ``N M``, then 0-indexed edges)."""
-    es = g.edges.orderBy("src", "dst").toPandas()
-    n = int(g.vertices.agg(F.max("id")).first()[0]) + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {len(es)}\n")
-        for _, row in es.iterrows():
-            fh.write(f'{row["src"]} {row["dst"]}\n')
+    return DiGraph.from_edges(spark, pdf)
 
 
 # -- dispatch -----------------------------------------------------------
 
 _READERS = {"edgelist": read_edgelist, "pajek": read_pajek, "asd": read_asd}
-_WRITERS = {"edgelist": write_edgelist, "pajek": write_pajek, "asd": write_asd}
 _EXTENSIONS = {".csv": "edgelist", ".net": "pajek", ".asd": "asd"}
 
 
@@ -138,8 +124,3 @@ def detect_format(path: str) -> str:
 def read_graph(spark: SparkSession, path: str, fmt: str | None = None) -> DiGraph:
     """Read a graph file in any supported format (auto-detect by extension)."""
     return _READERS[fmt or detect_format(path)](spark, path)
-
-
-def write_graph(g: DiGraph, path: str, fmt: str | None = None) -> None:
-    """Write a graph file in any supported format (auto-detect by extension)."""
-    _WRITERS[fmt or detect_format(path)](g, path)

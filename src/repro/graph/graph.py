@@ -5,6 +5,11 @@ with an edge DataFrame ``(src: long, dst: long)``. All algorithms in
 ``repro.core`` operate on these two frames with DataFrame joins and
 aggregations (Catalyst), never RDDs.
 
+Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
+dedups the edges and derives the vertex set in pandas, so a generated or
+uploaded graph reaches Spark as two frames parallelized from the driver,
+and the first action on it runs no dedup or join to construct it.
+
 The power iterations stay distributed. CycleRank is local by design: its
 BFS keeps only the frontier ids on the driver, and its cycle search runs
 there over the small ball it has pruned to. Id sets held on the driver
@@ -14,8 +19,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -62,51 +68,40 @@ class DiGraph:
     @staticmethod
     def from_edges(
         spark: SparkSession,
-        edges: DataFrame | Sequence[tuple[int, int]],
+        edges: pd.DataFrame | Iterable[tuple[int, int]],
         names: Mapping[int, str] | None = None,
     ) -> "DiGraph":
-        """Build a graph from an edge list, deriving the vertex set.
+        """Build a graph on the driver from an edge list, deriving the
+        vertex set; starts no Spark job.
+
+        The edges are deduplicated, the vertex ids are the sorted distinct
+        endpoints, and each frame is one partition (a graph built on the
+        driver is small enough for one).
 
         Args:
             spark: active session.
-            edges: either a DataFrame with ``src``/``dst`` columns or a
-                Python sequence of ``(src, dst)`` pairs.
+            edges: a pandas frame with ``src``/``dst`` columns (others are
+                ignored) or ``(src, dst)`` pairs.
             names: optional id→name mapping; ids without an entry get
                 ``"node_<id>"``.
+
+        Raises:
+            ValueError, TypeError: an endpoint cannot be cast to int64.
         """
-        if not isinstance(edges, DataFrame):
-            pdf = pd.DataFrame(list(edges), columns=EDGE_SCHEMA.names, dtype="int64")
-            edges = spark.createDataFrame(pdf)
         e = (
-            edges.select(
-                F.col("src").cast("long").alias("src"),
-                F.col("dst").cast("long").alias("dst"),
-            )
-            .dropna()
-            .dropDuplicates(["src", "dst"])
+            pd.DataFrame(edges, columns=EDGE_SCHEMA.names)
+            .astype("int64")
+            .drop_duplicates(ignore_index=True)
         )
-        ids = (
-            e.select(F.col("src").alias("id"))
-            .union(e.select(F.col("dst").alias("id")))
-            .distinct()
+        ids = np.unique(e.to_numpy())
+        names = names or {}
+        v = pd.DataFrame(
+            {"id": ids, "name": [str(names.get(i, f"node_{i}")) for i in ids.tolist()]}
         )
-        if names:
-            npdf = pd.DataFrame(
-                {"id": list(names.keys()), "name": [str(v) for v in names.values()]}
-            )
-            npdf["id"] = npdf["id"].astype("int64")
-            ndf = spark.createDataFrame(npdf)
-            v = ids.join(ndf, "id", "left").select(
-                "id",
-                F.coalesce(F.col("name"), F.format_string("node_%d", F.col("id"))).alias(
-                    "name"
-                ),
-            )
-        else:
-            v = ids.select(
-                "id", F.format_string("node_%d", F.col("id")).alias("name")
-            )
-        return DiGraph(vertices=v, edges=e)
+        return DiGraph(
+            vertices=spark.createDataFrame(v, VERTEX_SCHEMA).coalesce(1),
+            edges=spark.createDataFrame(e, EDGE_SCHEMA).coalesce(1),
+        )
 
     # -- basic properties ----------------------------------------------
 
@@ -153,12 +148,6 @@ class DiGraph:
             vertices=self.vertices.filter(id_in("id", ids)),
             edges=self.edges.filter(id_in("src", ids) & id_in("dst", ids)),
         )
-
-    def cache(self) -> "DiGraph":
-        """Cache both frames (call before iterative algorithms)."""
-        self.vertices.cache()
-        self.edges.cache()
-        return self
 
     # -- name lookups (driver-side; for display and experiment harnesses) --
 

@@ -1,19 +1,19 @@
 """Tests for the three demo upload formats (edgelist CSV, Pajek, ASD)."""
 import pytest
 
-from tests.graphs import BOWTIE, CYCLE3
+from tests.graphs import BOWTIE
 from repro.graph.formats import (
     detect_format,
     read_asd,
     read_edgelist,
     read_graph,
     read_pajek,
-    write_asd,
-    write_edgelist,
-    write_graph,
-    write_pajek,
 )
 from repro.graph.graph import DiGraph
+
+#: BOWTIE as upload files: an edge list, and ASD with header ``N M``.
+BOWTIE_CSV = "".join(f"{s},{d}\n" for s, d in BOWTIE)
+BOWTIE_ASD = f"5 {len(BOWTIE)}\n" + "".join(f"{s} {d}\n" for s, d in BOWTIE)
 
 
 def edge_set(g: DiGraph) -> set[tuple[int, int]]:
@@ -24,45 +24,59 @@ def edge_set(g: DiGraph) -> set[tuple[int, int]]:
 
 
 def test_edgelist_roundtrip(spark, tmp_path):
-    g = DiGraph.from_edges(spark, BOWTIE)
-    p = str(tmp_path / "g.csv")
-    write_edgelist(g, p)
-    g2 = read_edgelist(spark, p)
-    assert edge_set(g2) == set(BOWTIE)
+    p = tmp_path / "g.csv"
+    p.write_text(BOWTIE_CSV)
+    assert edge_set(read_edgelist(spark, str(p))) == set(BOWTIE)
 
 
 def test_edgelist_read_with_header(spark, tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("src,dst\n0,1\n1,0\n")
-    g = read_edgelist(spark, str(p), header=True)
+    g = read_edgelist(spark, str(p))
     assert edge_set(g) == {(0, 1), (1, 0)}
 
 
-def test_edgelist_file_is_plain_csv(spark, tmp_path):
-    g = DiGraph.from_edges(spark, CYCLE3)
-    p = tmp_path / "c.csv"
-    write_edgelist(g, str(p))
-    assert p.read_text().splitlines() == ["0,1", "1,2", "2,0"]
+@pytest.mark.parametrize(
+    "text",
+    ["0,1,0.5\n1,0,2\n", "src,dst,weight\n0,1,0.5\n1,0,2\n"],
+    ids=["no-header", "header"],
+)
+def test_edgelist_weight_column_ignored(spark, tmp_path, text):
+    p = tmp_path / "w.csv"
+    p.write_text(text)
+    assert edge_set(read_graph(spark, str(p))) == {(0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("0,1\n1,x\n2,0\n", "not two integers"),
+        ("1,x\n0,1\n", "not two integers"),
+        ("0,1\n1\n", "not two integers"),
+        ("0 1\n1 2\n", "comma-separated"),
+        ("src,dst\n", "no edges"),
+        ("", None),
+    ],
+    ids=["bad-field", "bad-first-row", "short-row", "whitespace", "header-only", "empty"],
+)
+def test_edgelist_bad_rows_raise(spark, tmp_path, text, match):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_graph(spark, str(p))
 
 
 # -- Pajek --------------------------------------------------------------
 
 
 def test_pajek_roundtrip(spark, tmp_path):
-    g = DiGraph.from_edges(
-        spark, [(1, 2), (2, 3), (3, 1)], names={1: "alpha", 2: "beta", 3: "gamma"}
+    p = tmp_path / "g.net"
+    p.write_text(
+        '*Vertices 3\n1 "alpha"\n2 "beta"\n3 "gamma"\n*Arcs\n1 2\n2 3\n3 1\n'
     )
-    p = str(tmp_path / "g.net")
-    write_pajek(g, p)
-    g2 = read_pajek(spark, p)
-    assert edge_set(g2) == {(1, 2), (2, 3), (3, 1)}
-    assert g2.id_of("beta") == 2
-
-
-def test_pajek_rejects_zero_ids(spark, tmp_path):
-    g = DiGraph.from_edges(spark, CYCLE3)  # ids 0..2
-    with pytest.raises(ValueError, match="1-indexed"):
-        write_pajek(g, str(tmp_path / "bad.net"))
+    g = read_pajek(spark, str(p))
+    assert edge_set(g) == {(1, 2), (2, 3), (3, 1)}
+    assert g.id_of("beta") == 2
 
 
 def test_pajek_parses_comments_and_blank_lines(spark, tmp_path):
@@ -91,18 +105,9 @@ def test_pajek_no_arcs_raises(spark, tmp_path):
 
 
 def test_asd_roundtrip(spark, tmp_path):
-    g = DiGraph.from_edges(spark, BOWTIE)
-    p = str(tmp_path / "g.asd")
-    write_asd(g, p)
-    g2 = read_asd(spark, p)
-    assert edge_set(g2) == set(BOWTIE)
-
-
-def test_asd_header_written(spark, tmp_path):
-    g = DiGraph.from_edges(spark, CYCLE3)
-    p = tmp_path / "c.asd"
-    write_asd(g, str(p))
-    assert p.read_text().splitlines()[0] == "3 3"
+    p = tmp_path / "g.asd"
+    p.write_text(BOWTIE_ASD)
+    assert edge_set(read_asd(spark, str(p))) == set(BOWTIE)
 
 
 def test_asd_bad_header_raises(spark, tmp_path):
@@ -159,14 +164,12 @@ def test_detect_format_unknown_raises():
 
 @pytest.mark.parametrize("ext", ["csv", "asd"])
 def test_read_write_graph_autodetect(spark, tmp_path, ext):
-    g = DiGraph.from_edges(spark, BOWTIE)
-    p = str(tmp_path / f"g.{ext}")
-    write_graph(g, p)
-    assert edge_set(read_graph(spark, p)) == set(BOWTIE)
+    p = tmp_path / f"g.{ext}"
+    p.write_text({"csv": BOWTIE_CSV, "asd": BOWTIE_ASD}[ext])
+    assert edge_set(read_graph(spark, str(p))) == set(BOWTIE)
 
 
 def test_read_write_graph_autodetect_pajek(spark, tmp_path):
-    g = DiGraph.from_edges(spark, [(1, 2), (2, 1)])
-    p = str(tmp_path / "g.net")
-    write_graph(g, p)
-    assert edge_set(read_graph(spark, p)) == {(1, 2), (2, 1)}
+    p = tmp_path / "g.net"
+    p.write_text('*Vertices 2\n1 "node_1"\n2 "node_2"\n*Arcs\n1 2\n2 1\n')
+    assert edge_set(read_graph(spark, str(p))) == {(1, 2), (2, 1)}

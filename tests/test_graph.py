@@ -23,11 +23,16 @@ def test_from_edges_deduplicates(spark):
     assert g.num_edges() == 2
 
 
-def test_from_edges_dataframe_input(spark):
-    df = spark.createDataFrame(pd.DataFrame({"src": [0, 1], "dst": [1, 0]}))
-    g = DiGraph.from_edges(spark, df)
+def test_from_edges_pandas_input(spark):
+    pdf = pd.DataFrame({"src": [0, 1, 0], "dst": [1, 0, 1], "weight": [1.0, 2.0, 3.0]})
+    g = DiGraph.from_edges(spark, pdf)
+    assert g.edges.columns == ["src", "dst"]
     assert g.num_edges() == 2
     assert g.num_vertices() == 2
+
+
+def test_from_edges_starts_no_spark_job(spark, count_jobs):
+    assert count_jobs(lambda: DiGraph.from_edges(spark, BOWTIE, names={0: "zero"})) == 0
 
 
 def test_default_names(spark):

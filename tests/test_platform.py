@@ -6,7 +6,9 @@ import pandas as pd
 import pytest
 
 from tests.graphs import BOWTIE
+from repro.datasets.wikilink import wikilink
 from repro.experiments.tables import table3, table3_column
+from repro.graph.formats import read_graph
 from repro.graph.graph import DiGraph
 from repro.platform.datastore import Datastore
 from repro.platform.executor import ALGORITHMS, Executor
@@ -84,6 +86,19 @@ def test_datastore_dataset_roundtrip(spark, store):
 def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     assert count_jobs(lambda: store.load_dataset(spark, "bowtie")) == 0
+
+
+def test_generated_dataset_save_spark_jobs(spark, store, count_jobs):
+    g = wikilink(spark, "en", 2018, scale=0.2).graph
+    assert count_jobs(lambda: store.save_dataset("wikilink-en-2018", g)) <= 2
+
+
+def test_upload_read_and_save_spark_jobs(spark, store, count_jobs, tmp_path):
+    p = tmp_path / "bowtie.csv"
+    p.write_text("".join(f"{s},{d}\n" for s, d in BOWTIE))
+    jobs = count_jobs(lambda: store.save_dataset("bowtie", read_graph(spark, str(p))))
+    assert jobs <= 2
+    assert store.load_dataset(spark, "bowtie").num_edges() == len(BOWTIE)
 
 
 def test_datastore_missing_dataset_raises(spark, store):
