@@ -68,11 +68,6 @@ def _power_iteration(
     # of holding a slowly decaying α^k residual of a uniform start.
     state = g.vertices.select("id", tele.alias("value"), tele.alias("tele"))
 
-    def send(out_edges: DataFrame) -> DataFrame:
-        return out_edges.select(
-            "dst", (F.col("value") / F.col("out_degree")).alias("msg")
-        )
-
     tele_col = F.col("tele")
     followed = alpha * F.coalesce(F.col("msg"), F.lit(0.0))
 
@@ -82,7 +77,7 @@ def _power_iteration(
     res = pregel(
         state,
         g.edges,
-        send,
+        F.col("value") / F.size("out"),
         update,
         aggregators={
             "dangling": F.sum(

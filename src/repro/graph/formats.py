@@ -58,32 +58,60 @@ def read_edgelist(spark: SparkSession, path: str) -> DiGraph:
 
 
 def read_pajek(spark: SparkSession, path: str) -> DiGraph:
-    """Read a Pajek ``.net`` file (``*Vertices`` then ``*Arcs``, 1-indexed)."""
+    """Read a Pajek ``.net`` file (``*Vertices N``, then ``*Arcs``; ids
+    are 1-indexed, so every id lies in ``1..N``). Fields after an arc's
+    two endpoints (a weight, say) are ignored.
+
+    Raises:
+        ValueError: naming the line, if ``*Vertices`` gives no count, an
+            arc comes before it, a vertex line does not start with an id
+            or an arc line with two, or an id is not an integer in
+            ``1..N``; or if the file has no arcs.
+    """
+    n: int | None = None
     names: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
     section = None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             low = line.lower()
-            if low.startswith("*vertices"):
-                section = "vertices"
-                continue
-            if low.startswith(("*arcs", "*edges")):
-                section = "arcs"
-                continue
-            if section == "vertices":
-                vid, _, rest = line.partition(" ")
-                name = rest.strip().strip('"')
-                names[int(vid)] = name or f"node_{vid}"
-            elif section == "arcs":
-                parts = line.split()
-                edges.append((int(parts[0]), int(parts[1])))
+            try:
+                if low.startswith("*vertices"):
+                    head = line.split()
+                    if len(head) < 2 or not head[1].isdecimal():
+                        raise ValueError("'*Vertices' needs a vertex count")
+                    n, section = int(head[1]), "vertices"
+                elif low.startswith(("*arcs", "*edges")):
+                    section = "arcs"
+                elif section == "vertices":
+                    vid, _, rest = line.partition(" ")
+                    (v,) = _pajek_ids([vid], n)
+                    names[v] = rest.strip().strip('"') or f"node_{v}"
+                elif section == "arcs":
+                    src, dst = _pajek_ids(line.split()[:2], n, count=2)
+                    edges.append((src, dst))
+            except ValueError as e:
+                raise ValueError(
+                    f"pajek file {path}, line {lineno} {line!r}: {e}"
+                ) from None
     if not edges:
         raise ValueError(f"no arcs found in pajek file {path}")
     return DiGraph.from_edges(spark, edges, names)
+
+
+def _pajek_ids(fields: list[str], n: int | None, *, count: int = 1) -> list[int]:
+    """``fields`` as ``count`` vertex ids in ``1..n``, else ``ValueError``."""
+    if n is None:
+        raise ValueError("no '*Vertices N' line before it")
+    if len(fields) < count or not all(f.isdecimal() for f in fields):
+        raise ValueError(f"expected {count} integer id(s)")
+    ids = [int(f) for f in fields]
+    if not all(1 <= i <= n for i in ids):
+        raise ValueError(f"id outside 1..{n} ('*Vertices {n}')")
+    return ids
 
 
 # -- ASD ----------------------------------------------------------------

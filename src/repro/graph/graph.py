@@ -7,13 +7,17 @@ aggregations (Catalyst), never RDDs.
 
 Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
 dedups the edges and derives the vertex set in pandas, so a generated or
-uploaded graph reaches Spark as two frames parallelized from the driver,
-and the first action on it runs no dedup or join to construct it.
+uploaded graph reaches Spark as two one-partition frames parallelized
+from the driver, and the first action on it runs no dedup or join to
+construct it.
 
-The power iterations stay distributed. CycleRank is local by design: its
-BFS keeps only the frontier ids on the driver, and its cycle search runs
-there over the small ball it has pruned to. Id sets held on the driver
-reach Spark as one SQL literal (:func:`id_in`).
+The power iterations run in Spark, in that one partition: on graphs of
+this size a superstep costs a Spark job, not data movement, so the
+Pregel engine keeps the vertex state there and each superstep to one
+job with no exchange. CycleRank is local by design: its BFS keeps only
+the frontier ids on the driver, and its cycle search runs there over
+the small ball it has pruned to. Id sets held on the driver reach Spark
+as one SQL literal (:func:`id_in`).
 """
 from __future__ import annotations
 

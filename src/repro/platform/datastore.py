@@ -4,8 +4,10 @@ The paper's Datastore "is responsible for storing and managing
 datasets [and] provides storage for results and logs". Here:
 
 - datasets are stored as two parquet directories (``vertices/``,
-  ``edges/``) written and read with Spark (datasets can be large), with
-  the graph's fixed schemas, so loading one starts no Spark job; a
+  ``edges/``) written and read with Spark, with the graph's fixed
+  schemas, so loading one starts no Spark job. A loaded dataset is two
+  one-partition frames, as a graph built on the driver is, so a vertex
+  count or a Pregel superstep over it runs without an exchange. A
   dataset's name is its directory under ``datasets/``, so it must be
   one plain path component;
 - results are small top-k frames, stored as single parquet files via
@@ -53,7 +55,9 @@ class Datastore:
             frame.write.mode("overwrite").parquet(os.path.join(d, sub))
 
     def load_dataset(self, spark: SparkSession, name: str) -> DiGraph:
-        """Load a persisted graph (no Spark job: the schemas are known).
+        """Load a persisted graph as two one-partition frames, as
+        :meth:`DiGraph.from_edges` builds them (no Spark job: the schemas
+        are known).
 
         Raises:
             FileNotFoundError: if the dataset was never saved.
@@ -62,7 +66,10 @@ class Datastore:
         if not os.path.isdir(d):
             raise FileNotFoundError(f"dataset {name!r} not in datastore")
         return DiGraph(
-            *(spark.read.schema(s).parquet(os.path.join(d, n)) for n, s in _FRAMES)
+            *(
+                spark.read.schema(s).parquet(os.path.join(d, n)).coalesce(1)
+                for n, s in _FRAMES
+            )
         )
 
     def has_dataset(self, name: str) -> bool:

@@ -7,13 +7,21 @@ packages, so this module reimplements the superstep model of Pregel
 * **Vertices own their out-edges.** Before the first superstep the edge
   list is grouped into an ``out`` array per vertex (empty for sinks) and
   stored in the vertex state, so sending needs no join.
-* **One shuffle per superstep.** Each vertex emits one message per
-  element of ``explode(out)`` (``send_msg``). The messages are unioned
-  with the vertices' own rows and reduced by a single ``groupBy("id")``
-  that keeps the state (``first`` non-null) and sums the messages into
-  ``msg``. The vertex program (``update``) then computes the new value
-  from the state columns and ``msg``. Groups without a state row
-  are dropped: messages to unknown ids vanish.
+* **One partition, no exchange.** The graphs of this demo fit in one
+  partition, and every graph already arrives as one (built on the
+  driver or loaded from the datastore). The engine keeps the vertex
+  state there: the vertex rows and the messages (or, before the first
+  superstep, the edges) are coalesced to one partition before each
+  ``groupBy``, whose distribution one partition already satisfies. So
+  nothing is shuffled whatever the caller's partitioning, and the state
+  it returns is one partition too.
+* **One groupBy per superstep.** Each vertex sends its message
+  (``send_msg``) along every element of ``explode(out)``. The messages
+  are unioned with the vertices' own rows and reduced by a single
+  ``groupBy("id")`` that keeps the state (``first`` non-null) and sums
+  the messages into ``msg``. The vertex program (``update``) then
+  computes the new value from the state columns and ``msg``. Groups
+  without a state row are dropped: messages to unknown ids vanish.
 * **Aggregators.** Global values (``aggregators``) and the L1 delta
   between successive values are computed with ``DataFrame.observe``
   inside the eager ``localCheckpoint`` that ends the superstep, so they
@@ -23,7 +31,10 @@ packages, so this module reimplements the superstep model of Pregel
 
 The checkpoint also truncates lineage: without it, 30+ chained
 supersteps make Catalyst analysis time explode. A superstep thus runs
-two Spark jobs, the shuffle-map stage and the checkpoint.
+one Spark job, the checkpoint, in which the messages, the groupBy, the
+vertex program and the observed metrics all run as one stage. Each
+DataFrame call is analysed eagerly on the driver, so a superstep makes
+as few as it can.
 
 The bounded BFS (:func:`iterate_frontier`) keeps its few frontier ids on
 the driver instead: one filtering scan of the edges per level.
@@ -62,7 +73,7 @@ class PregelResult:
 def pregel(
     state: DataFrame,
     edges: DataFrame,
-    send_msg: Callable[[DataFrame], DataFrame],
+    send_msg: Column,
     update: Callable[[dict[str, float]], Column],
     *,
     aggregators: dict[str, Column] | None = None,
@@ -71,15 +82,19 @@ def pregel(
 ) -> PregelResult:
     """Run supersteps until convergence or ``max_iter``.
 
+    ``state`` and ``edges`` are brought into one partition on entry, so
+    a superstep is one Spark job whatever the caller's partitioning.
+
     Args:
         state: initial vertex state, columns ``(id, value)`` with
             ``value`` double, plus any other columns, which are carried
-            unchanged. The names ``out``, ``out_degree``, ``dst`` and
-            ``msg`` are the engine's.
+            unchanged. The names ``out``, ``dst``, ``msg`` and ``_change``
+            are the engine's.
         edges: edge frame, columns ``(src, dst)``; edges whose ``src``
             has no state row are ignored.
-        send_msg: maps the out-edge rows (the state columns, ``dst`` and
-            ``out_degree``, one row per edge) to a frame ``(dst, msg)``.
+        send_msg: the message a vertex sends along each of its
+            out-edges, a ``Column`` over its state columns and ``out``
+            (the array of its out-neighbour ids).
         update: the vertex program. Given the previous superstep's
             aggregator values by name, returns the ``Column`` of the new
             ``value`` over the state columns and ``msg``, the sum of the
@@ -92,7 +107,7 @@ def pregel(
         tol: L1 convergence threshold, at least 0.
 
     Returns:
-        A :class:`PregelResult`.
+        A :class:`PregelResult`; its ``state`` is one partition.
 
     Raises:
         ValueError: ``max_iter < 1`` or ``tol < 0``; raised before any
@@ -104,69 +119,75 @@ def pregel(
         raise ValueError(f"tol must be non-negative, got {tol}")
     columns = state.columns
     fields = [c for c in columns if c != "id"]
-    out = edges.groupBy(F.col("src").alias("id")).agg(
-        F.collect_list("dst").alias("out")
+    kept = tuple(F.first(c, ignorenulls=True).alias(c) for c in fields)
+    has_state = F.col("out").isNotNull()
+    # Vertex rows with an empty ``out`` ∪ one row per edge, grouped in one
+    # partition: ``out`` collects each vertex's out-neighbours, and stays
+    # null (so the group is dropped) where ``src`` has no vertex row.
+    rows = state.withColumn("out", F.array().cast("array<long>")).unionByName(
+        edges.select(F.col("src").alias("id"), "dst"), allowMissingColumns=True
     )
-    cur = state.join(out, "id", "left").withColumn(
-        "out", F.coalesce("out", F.array().cast("array<long>"))
+    first_out = F.first("out", ignorenulls=True)
+    cur = (
+        rows.coalesce(1)
+        .groupBy("id")
+        .agg(*kept, F.concat(first_out, F.collect_list("dst")).alias("out"))
+        .filter(has_state)
     )
-    stored = (*columns, "out")
     named = [c.alias(k) for k, c in (aggregators or {}).items()]
-    cur, aggs = _checkpoint(cur, named, stored)
+    cur, aggs = _checkpoint(cur, named)
     # Columns do not depend on the superstep: build them once, as each
     # one is a round trip to the JVM.
-    out_edges = (
-        *columns,
-        F.explode("out").alias("dst"),
-        F.size("out").alias("out_degree"),
-    )
-    to_id = (F.col("dst").alias("id"), "msg")
-    reduce = (
-        *(F.first(c, ignorenulls=True).alias(c) for c in (*fields, "out")),
-        F.sum("msg").alias("msg"),
-    )
-    has_state = F.col("out").isNotNull()
+    send = (F.explode("out").alias("id"), send_msg.alias("msg"))
+    reduce = (*kept, first_out.alias("out"), F.sum("msg").alias("msg"))
     value = F.col("value")
     metrics = [F.sum("_change").alias("_delta"), *named]
     delta = float("inf")
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        msgs = send_msg(cur.select(*out_edges)).select(*to_id)
+        # The union of two one-partition frames is two partitions;
+        # coalescing it back to one lets the groupBy run without an
+        # exchange, so the superstep is the checkpoint's job alone.
         grouped = (
-            cur.unionByName(msgs, allowMissingColumns=True)
+            cur.unionByName(cur.select(*send), allowMissingColumns=True)
+            .coalesce(1)
             .groupBy("id")
             .agg(*reduce)
             .filter(has_state)
         )
         new = update(aggs)
+        # ``_change`` stays in the stored state (the next superstep's
+        # groupBy drops it), so no call is spent on dropping it here.
         nxt = grouped.select(
             "id",
             *(new.alias(c) if c == "value" else c for c in fields),
             "out",
             F.abs(new - value).alias("_change"),
         )
-        cur, aggs = _checkpoint(nxt, metrics, stored)
+        cur, aggs = _checkpoint(nxt, metrics)
         delta = aggs.pop("_delta") or 0.0
         if delta <= tol:
             converged = True
             break
     return PregelResult(
-        state=cur.select(*columns), iterations=it, delta=delta, converged=converged
+        state=cur.select(*columns).coalesce(1),
+        iterations=it,
+        delta=delta,
+        converged=converged,
     )
 
 
 def _checkpoint(
-    df: DataFrame, metrics: list[Column], keep: tuple[str, ...]
+    df: DataFrame, metrics: list[Column]
 ) -> tuple[DataFrame, dict[str, float]]:
-    """Materialise the ``keep`` columns of ``df`` with an eager
-    ``localCheckpoint`` and return them with ``metrics`` (named aggregate
-    columns over ``df``) by name, observed in the same Spark job."""
+    """Materialise ``df`` with an eager ``localCheckpoint`` and return it
+    with ``metrics`` (named aggregate columns over ``df``) by name,
+    observed in the same Spark job."""
     if not metrics:
-        return df.select(*keep).localCheckpoint(eager=True), {}
+        return df.localCheckpoint(eager=True), {}
     obs = Observation()
-    observed = df.observe(obs, *metrics)
-    return observed.select(*keep).localCheckpoint(eager=True), obs.get
+    return df.observe(obs, *metrics).localCheckpoint(eager=True), obs.get
 
 
 def iterate_frontier(

@@ -69,6 +69,37 @@ def test_edgelist_bad_rows_raise(spark, tmp_path, text, match):
 # -- Pajek --------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ('*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2\n2 7\n', "line 6 '2 7': id outside 1..2"),
+        ("*Vertices 2\n*Arcs\n0 1\n", "line 3 '0 1': id outside 1..2"),
+        ('*Vertices 2\n3 "c"\n*Arcs\n1 2\n', "line 2 '3 \"c\"': id outside 1..2"),
+        ("*Vertices 2\n*Arcs\n1 2\n1\n", "line 4 '1': expected 2 integer"),
+        ("*Vertices 2\n*Arcs\n1 x\n", "line 3 '1 x': expected 2 integer"),
+        ('*Vertices 2\nx "a"\n*Arcs\n1 2\n', "line 2 'x \"a\"': expected 1 integer"),
+        ('*Vertices\n1 "a"\n*Arcs\n1 1\n', "line 1 '.Vertices': .* needs a vertex count"),
+        ("*Arcs\n1 2\n", "line 2 '1 2': no '.Vertices N' line"),
+    ],
+    ids=[
+        "arc-above-n",
+        "arc-zero",
+        "vertex-above-n",
+        "one-field",
+        "non-integer",
+        "vertex-non-integer",
+        "no-count",
+        "arcs-first",
+    ],
+)
+def test_pajek_bad_lines_raise(spark, tmp_path, text, match):
+    """Every bad line raises ``ValueError`` naming it (ids are ``1..N``)."""
+    p = tmp_path / "bad.net"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_graph(spark, str(p))
+
+
 def test_pajek_roundtrip(spark, tmp_path):
     p = tmp_path / "g.net"
     p.write_text(

@@ -1,6 +1,6 @@
 """PageRank / CheiRank against the dense NumPy reference and closed forms.
 
-Full power-iteration runs are expensive on Spark (one shuffle round per
+Full power-iteration runs are expensive on Spark (one Spark job per
 superstep), so each configuration is computed once in a module fixture
 and asserted many times.
 """
@@ -145,15 +145,16 @@ def test_cheirank_is_pagerank_on_transpose(spark):
         assert a[v] == pytest.approx(b[v], abs=1e-9)
 
 
-#: Spark jobs PageRank starts outside its supersteps: 4 for the vertex
-#: count, 5 for the initial checkpoint, which dedupes the edges, groups
-#: them into out-edge lists and joins them to the vertex state.
-SETUP_JOBS = 9
+#: Spark jobs PageRank starts outside its supersteps: 1 for the vertex
+#: count and 1 for the initial checkpoint, which groups the edges into
+#: out-edge lists in the vertex state's one partition.
+SETUP_JOBS = 2
 
 
-def test_two_spark_jobs_per_superstep(spark, count_jobs):
-    """A superstep is one shuffle-map job plus the checkpoint; dangling
-    mass and the L1 delta are observed in the checkpoint."""
+def test_one_spark_job_per_superstep(spark, count_jobs):
+    """A superstep runs in one partition with no exchange, so it is the
+    checkpoint's job alone; dangling mass and the L1 delta are observed
+    in it (24 jobs when a superstep was an exchange plus the checkpoint)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     jobs = count_jobs(lambda: pagerank(g, max_iter=10, tol=0.0))
-    assert jobs <= 2 * 10 + SETUP_JOBS
+    assert jobs <= 10 + SETUP_JOBS

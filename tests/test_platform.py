@@ -88,6 +88,15 @@ def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
     assert count_jobs(lambda: store.load_dataset(spark, "bowtie")) == 0
 
 
+def test_stored_dataset_vertex_count_one_spark_job(spark, store, count_jobs):
+    """A stored dataset loads as one partition, so counting its vertices
+    needs no exchange: one job (two when each parquet file was its own
+    partition)."""
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    g = store.load_dataset(spark, "bowtie")
+    assert count_jobs(g.num_vertices) == 1
+
+
 def test_generated_dataset_save_spark_jobs(spark, store, count_jobs):
     g = wikilink(spark, "en", 2018, scale=0.2).graph
     assert count_jobs(lambda: store.save_dataset("wikilink-en-2018", g)) <= 2
@@ -320,6 +329,18 @@ def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
     sched = Scheduler(spark, store, top_k_size=3)
     tid = sched.submit(Task.make("bowtie", "cyclerank", refs=[0], k=5))
     assert count_jobs(lambda: sched.run(tid)) <= 7
+    assert Status(store).poll(tid)["state"] == "done"
+
+
+def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
+    """A PageRank task on a stored dataset: the vertex count, the
+    out-edge lists, one job per superstep, the sorted limit and its
+    names (27 jobs when a superstep was an exchange plus the checkpoint)."""
+    store = Datastore(str(tmp_path / "pr"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", "pagerank", max_iter=10, tol=0.0))
+    assert count_jobs(lambda: sched.run(tid)) <= 10 + 4
     assert Status(store).poll(tid)["state"] == "done"
 
 

@@ -1,8 +1,9 @@
 """Tests for the DataFrame pregel engine and bounded BFS."""
 import pytest
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
-from tests.graphs import CYCLE4, DANGLING_CHAIN, DISCONNECTED
+from tests.graphs import BOWTIE, CYCLE4, DANGLING_CHAIN, DISCONNECTED
 from repro.graph.graph import DiGraph
 from repro.pregel.engine import iterate_frontier, pregel
 
@@ -17,8 +18,9 @@ def _edges(spark, edges):
     return spark.createDataFrame(edges, "src long, dst long")
 
 
-def _send_value(out_edges):
-    return out_edges.select("dst", F.col("value").alias("msg"))
+def _send_value():
+    """Every vertex sends its value along each out-edge."""
+    return F.col("value")
 
 
 def _replace_with_msg(_aggs):
@@ -30,7 +32,7 @@ def test_one_superstep_rotates_cycle(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=1,
     )
@@ -44,7 +46,7 @@ def test_four_supersteps_full_rotation(spark):
     res = pregel(
         _state(spark, init),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=4,
         tol=0.0,
@@ -58,7 +60,7 @@ def test_convergence_stops_early(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=50,
         tol=1e-12,
@@ -72,7 +74,7 @@ def test_max_iter_reached_reports_not_converged(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=3,
         tol=0.0,
@@ -86,7 +88,7 @@ def test_vertex_without_messages_keeps_update_semantics(spark):
     res = pregel(
         _state(spark, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}),
         _edges(spark, DANGLING_CHAIN),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=1,
     )
@@ -107,7 +109,7 @@ def test_aggregator_seen_by_next_superstep(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         become_total,
         aggregators={"total": F.sum("value")},
         max_iter=2,
@@ -124,7 +126,7 @@ def test_messages_to_unknown_ids_dropped(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 2.0}),
         _edges(spark, [(0, 1), (1, 0), (1, 9)]),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=1,
     )
@@ -137,12 +139,38 @@ def test_delta_exact_after_one_superstep(spark):
     res = pregel(
         _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
         _edges(spark, CYCLE4),
-        _send_value,
+        _send_value(),
         _replace_with_msg,
         max_iter=1,
     )
     assert res.delta == 6.0
     assert not res.converged
+
+
+def test_caller_partitioning_does_not_change_values(spark, count_jobs):
+    """State and edges spread over 8 partitions give the values of the
+    one-partition run, and the state comes back as one partition, so a
+    window over it (as ``ranks`` takes) runs in one job."""
+    init = {v: float(v + 1) for v in range(5)}
+
+    def run(parts):
+        res = pregel(
+            _state(spark, init).repartition(parts),
+            _edges(spark, BOWTIE).repartition(parts),
+            _send_value(),
+            _replace_with_msg,
+            max_iter=3,
+            tol=0.0,
+        )
+        return res.state
+
+    spread = run(8)
+    assert {r["id"]: r["value"] for r in spread.collect()} == {
+        r["id"]: r["value"] for r in run(1).collect()
+    }
+    assert spread.rdd.getNumPartitions() == 1
+    numbered = spread.select(F.row_number().over(Window.orderBy("id")))
+    assert count_jobs(numbered.collect) == 1
 
 
 @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}])
@@ -151,7 +179,7 @@ def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
 
     def run():
         with pytest.raises(ValueError, match=next(iter(kw))):
-            pregel(state, edges, _send_value, _replace_with_msg, **kw)
+            pregel(state, edges, _send_value(), _replace_with_msg, **kw)
 
     assert count_jobs(run) == 0
 
