@@ -9,85 +9,94 @@ vector a probability distribution (sums to 1).
 
 CheiRank [Chepelianskii 2010] is exactly PageRank on the transposed
 graph, ranking by outgoing instead of incoming connections.
+
+Every power iteration of the package (PR, PPR, CheiRank, personalized
+CheiRank and the two sides of each 2DRank) is a lane of
+:func:`_power_iteration`, and several lanes run as one pregel run.
 """
 from __future__ import annotations
 
-from typing import Iterable
+import operator
+from typing import Iterable, Sequence
 
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+import numpy as np
+from pyspark.sql import DataFrame
 
-from repro.graph.graph import DiGraph, id_in
+from repro.graph.graph import DiGraph
 from repro.pregel.engine import pregel
+
+#: One power iteration: ``(refs, alpha, transposed)``. ``refs`` is the
+#: reference id or ids, over which the teleport vector is uniform, or
+#: ``None`` for the uniform vector over all vertices (classic PageRank);
+#: ``transposed`` walks the reversed edges (CheiRank).
+Lane = tuple[int | Iterable[int] | None, float, bool]
 
 
 def _power_iteration(
-    g: DiGraph,
-    refs: int | Iterable[int] | None,
-    alpha: float,
-    max_iter: int,
-    tol: float,
+    g: DiGraph, lanes: Sequence[Lane], max_iter: int, tol: float
 ) -> DataFrame:
-    """Shared PR/PPR power iteration on the pregel engine.
+    """Run PR/PPR power iterations, one per lane, as one pregel run.
 
-    Each superstep computes ``x' = (1 − α + α·d)·t + α·A·x``, where ``t``
-    is the teleport vector and ``d`` the mass on dangling vertices
-    (those with no out-edges), which teleports along ``t``. ``d`` is a
-    pregel aggregator: it is summed over the state that a superstep
-    produces, in the same Spark job, and used by the next superstep.
+    Each superstep computes, per lane, ``x' = (1 − α + α·d)·t + α·A·x``,
+    where ``t`` is the teleport vector and ``d`` the mass on dangling
+    vertices (those with no out-edges along the lane's direction), which
+    teleports along ``t``. The walk starts from ``t`` (uniform for PR):
+    nodes unreachable from the reference set then stay at exactly 0
+    instead of holding a slowly decaying α^k residual of a uniform start.
 
     Args:
         g: the graph.
-        refs: the reference id or ids, over which ``t`` is uniform, or
-            ``None`` for the uniform vector over all vertices (classic
-            PageRank).
-        alpha: damping factor — probability of following an out-edge.
-        max_iter, tol: convergence controls (L1).
+        lanes: the power iterations (:data:`Lane`).
+        max_iter, tol: convergence controls (L1), applied to each lane.
 
     Returns:
-        ``(id, score)`` summing to 1.
+        ``(id, score_0, …, score_{L−1})``; each score column sums to 1.
+
+    Raises:
+        ValueError: an α outside [0, 1] or an empty reference set (before
+            any Spark job), or a graph with no vertices for a lane
+            without references.
+        KeyError: a reference id is not a vertex.
+        TypeError: a reference id is not an integer.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if refs is None:
-        n = g.num_vertices()
-        if n == 0:
+    specs = []
+    for refs, alpha, transposed in lanes:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        if refs is not None:
+            refs = {refs} if isinstance(refs, int) else set(refs)
+            if not refs:
+                raise ValueError("reference set must be non-empty")
+            refs = {operator.index(r) for r in refs}
+        specs.append((refs, transposed))
+    alphas = np.array([[alpha] for _, alpha, _ in lanes], dtype=float)
+
+    def program(ids, seed, out_degree):
+        tele = seed / np.maximum(seed.sum(axis=1, keepdims=True), 1)
+        dangling = out_degree == 0
+        degree = np.maximum(out_degree, 1)
+
+        def send(x):
+            return x / degree
+
+        def update(x, msg):
+            d = np.where(dangling, x, 0.0).sum(axis=1, keepdims=True)
+            return (1.0 - alphas + alphas * d) * tele + alphas * msg
+
+        return tele, send, update
+
+    res = pregel(g.vertices, g.edges, program, lanes=specs, max_iter=max_iter, tol=tol)
+    for (refs, _), lane in zip(specs, res.lanes):
+        if refs is None and res.num_vertices == 0:
             raise ValueError("graph has no vertices")
-        tele = F.lit(1.0 / n)
-    else:
-        refs = {refs} if isinstance(refs, int) else set(refs)
-        if not refs:
-            raise ValueError("reference set must be non-empty")
-        is_ref = id_in("id", refs)
-        missing = len(refs) - g.vertices.filter(is_ref).count()
-        if missing:
-            raise KeyError(f"{missing} reference id(s) not present in the graph")
-        tele = F.when(is_ref, 1.0 / len(refs)).otherwise(0.0)
-    # The walk starts from the teleport vector (uniform for PR): nodes
-    # unreachable from the reference set then stay at exactly 0 instead
-    # of holding a slowly decaying α^k residual of a uniform start.
-    state = g.vertices.select("id", tele.alias("value"), tele.alias("tele"))
+        if lane.missing:
+            raise KeyError(f"{lane.missing} reference id(s) not present in the graph")
+    return res.state.toDF("id", *(f"score_{i}" for i in range(len(specs))))
 
-    tele_col = F.col("tele")
-    followed = alpha * F.coalesce(F.col("msg"), F.lit(0.0))
 
-    def update(agg: dict[str, float]) -> Column:
-        return (1.0 - alpha + alpha * agg["dangling"]) * tele_col + followed
-
-    res = pregel(
-        state,
-        g.edges,
-        F.col("value") / F.size("out"),
-        update,
-        aggregators={
-            "dangling": F.sum(
-                F.when(F.size("out") == 0, F.col("value")).otherwise(0.0)
-            )
-        },
-        max_iter=max_iter,
-        tol=tol,
-    )
-    return res.state.select("id", F.col("value").alias("score"))
+def _one_lane(g: DiGraph, lane: Lane, max_iter: int, tol: float) -> DataFrame:
+    """A single power iteration as ``(id, score)``."""
+    return _power_iteration(g, [lane], max_iter, tol).toDF("id", "score")
 
 
 def pagerank(
@@ -104,11 +113,11 @@ def pagerank(
     Returns:
         DataFrame ``(id, score)``; scores sum to 1.
     """
-    return _power_iteration(g, None, alpha, max_iter, tol)
+    return _one_lane(g, (None, alpha, False), max_iter, tol)
 
 
 def cheirank(
     g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
 ) -> DataFrame:
     """CheiRank: PageRank on the transposed graph (out-link based)."""
-    return _power_iteration(g.transpose(), None, alpha, max_iter, tol)
+    return _one_lane(g, (None, alpha, True), max_iter, tol)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from pyspark.sql import DataFrame
 
-from repro.core.pagerank import _power_iteration
+from repro.core.pagerank import _one_lane
 from repro.graph.graph import DiGraph
 
 
@@ -38,7 +38,7 @@ def personalized_pagerank(
         DataFrame ``(id, score)``; scores sum to 1 and the reference
         set typically dominates.
     """
-    return _power_iteration(g, refs, alpha, max_iter, tol)
+    return _one_lane(g, (refs, alpha, False), max_iter, tol)
 
 
 def personalized_cheirank(
@@ -50,4 +50,4 @@ def personalized_cheirank(
     tol: float = 1e-8,
 ) -> DataFrame:
     """Personalized CheiRank: PPR on the transposed graph."""
-    return _power_iteration(g.transpose(), refs, alpha, max_iter, tol)
+    return _one_lane(g, (refs, alpha, True), max_iter, tol)

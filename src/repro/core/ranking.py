@@ -8,10 +8,17 @@ orderings).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.graph.graph import DiGraph
+
+
+def rank_by(column: str, *, ascending: bool = False) -> Column:
+    """The 1-based rank of each row by ``column``: largest first (smallest
+    if ``ascending``), ties broken by ascending ``id``."""
+    order = F.col(column).asc() if ascending else F.col(column).desc()
+    return F.row_number().over(Window.orderBy(order, F.col("id").asc()))
 
 
 def ranks(scores: DataFrame, *, ascending: bool = False) -> DataFrame:
@@ -25,12 +32,7 @@ def ranks(scores: DataFrame, *, ascending: bool = False) -> DataFrame:
     Returns:
         ``(id, score, rank)`` with deterministic id tie-break.
     """
-    order = [
-        F.col("score").asc() if ascending else F.col("score").desc(),
-        F.col("id").asc(),
-    ]
-    w = Window.orderBy(*order)
-    return scores.select("id", "score", F.row_number().over(w).alias("rank"))
+    return scores.select("id", "score", rank_by("score", ascending=ascending).alias("rank"))
 
 
 def top_k(g: DiGraph, scores: DataFrame, k: int) -> pd.DataFrame:

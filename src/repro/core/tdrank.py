@@ -11,9 +11,10 @@ ordered by K — so the corner node (K = K* = r) comes last within its
 shell. 2DRank produces a *ranking only*, not a score (Section II), so
 the result column is ``rank``.
 
-Implemented as a pure rank-space transformation: compute both ranks,
-then order by ``(shell = max(K, K*), side, offset)`` — an equivalent,
-single-pass formulation of the square sweep.
+Implemented as a pure rank-space transformation: compute both scores as
+two lanes of one power iteration, rank each, then order by
+``(shell = max(K, K*), side, offset)`` — an equivalent, single-pass
+formulation of the square sweep.
 """
 from __future__ import annotations
 
@@ -22,25 +23,26 @@ from typing import Iterable
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.pagerank import cheirank, pagerank
-from repro.core.ppr import personalized_cheirank, personalized_pagerank
-from repro.core.ranking import ranks
+from repro.core.pagerank import _power_iteration
+from repro.core.ranking import rank_by
 from repro.graph.graph import DiGraph
 
 
-def combine_ranks(pr_ranks: DataFrame, cr_ranks: DataFrame) -> DataFrame:
+def combine_ranks(scores: DataFrame) -> DataFrame:
     """Merge PageRank ranks K and CheiRank ranks K* into the 2DRank order.
 
+    Both ranks are windows over the one frame that holds both scores, so
+    no join is planned.
+
     Args:
-        pr_ranks: ``(id, rank)`` from the PageRank-side ranking.
-        cr_ranks: ``(id, rank)`` from the CheiRank-side ranking.
+        scores: ``(id, score_0, score_1)``: the PageRank-side and the
+            CheiRank-side score of each vertex.
 
     Returns:
         ``(id, rank)`` — the 2DRank position (1 = best).
     """
-    joined = (
-        pr_ranks.select("id", F.col("rank").alias("k"))
-        .join(cr_ranks.select("id", F.col("rank").alias("kstar")), "id")
+    ranked = scores.select(
+        "id", rank_by("score_0").alias("k"), rank_by("score_1").alias("kstar")
     )
     shell = F.greatest("k", "kstar")
     # vertical side (K == shell, K* < shell) first, ordered by K*;
@@ -48,16 +50,16 @@ def combine_ranks(pr_ranks: DataFrame, cr_ranks: DataFrame) -> DataFrame:
     side = F.when(F.col("kstar") < F.col("k"), F.lit(0)).otherwise(F.lit(1))
     offset = F.when(F.col("kstar") < F.col("k"), F.col("kstar")).otherwise(F.col("k"))
     w = Window.orderBy(shell.asc(), side.asc(), offset.asc(), F.col("id").asc())
-    return joined.select("id", F.row_number().over(w).alias("rank"))
+    return ranked.select("id", F.row_number().over(w).alias("rank"))
 
 
 def twodrank(
     g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
 ) -> DataFrame:
-    """Global 2DRank: square sweep over PageRank × CheiRank ranks."""
-    pr = ranks(pagerank(g, alpha=alpha, max_iter=max_iter, tol=tol))
-    cr = ranks(cheirank(g, alpha=alpha, max_iter=max_iter, tol=tol))
-    return combine_ranks(pr, cr)
+    """Global 2DRank: square sweep over PageRank × CheiRank ranks, whose
+    two power iterations run as two lanes of one pregel run."""
+    lanes = [(None, alpha, False), (None, alpha, True)]
+    return combine_ranks(_power_iteration(g, lanes, max_iter, tol))
 
 
 def personalized_twodrank(
@@ -69,11 +71,7 @@ def personalized_twodrank(
     tol: float = 1e-8,
 ) -> DataFrame:
     """Personalized 2DRank: square sweep over PPR × personalized-CheiRank
-    ranks (the demo's 'personalized variant' of 2DRank)."""
-    pr = ranks(
-        personalized_pagerank(g, refs, alpha=alpha, max_iter=max_iter, tol=tol)
-    )
-    cr = ranks(
-        personalized_cheirank(g, refs, alpha=alpha, max_iter=max_iter, tol=tol)
-    )
-    return combine_ranks(pr, cr)
+    ranks (the demo's 'personalized variant' of 2DRank), run as two lanes
+    of one pregel run."""
+    lanes = [(refs, alpha, False), (refs, alpha, True)]
+    return combine_ranks(_power_iteration(g, lanes, max_iter, tol))

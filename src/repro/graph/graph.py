@@ -2,8 +2,8 @@
 
 A :class:`DiGraph` pairs a vertex DataFrame ``(id: long, name: string)``
 with an edge DataFrame ``(src: long, dst: long)``. All algorithms in
-``repro.core`` operate on these two frames with DataFrame joins and
-aggregations (Catalyst), never RDDs.
+``repro.core`` take these two frames and return a DataFrame of scores or
+ranks; none uses the RDD API.
 
 Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
 dedups the edges and derives the vertex set in pandas, so a generated or
@@ -12,12 +12,12 @@ from the driver, and the first action on it runs no dedup or join to
 construct it.
 
 The power iterations run in Spark, in that one partition: on graphs of
-this size a superstep costs a Spark job, not data movement, so the
-Pregel engine keeps the vertex state there and each superstep to one
-job with no exchange. CycleRank is local by design: its BFS keeps only
-the frontier ids on the driver, and its cycle search runs there over
-the small ball it has pruned to. Id sets held on the driver reach Spark
-as one SQL literal (:func:`id_in`).
+this size a Spark job costs far more than a superstep's arithmetic, so
+the Pregel engine runs a whole power iteration, every superstep in
+NumPy, in one task of one job. CycleRank is local by design: its BFS
+keeps only the frontier ids on the driver, and its cycle search runs
+there over the small ball it has pruned to. Id sets held on the driver
+reach Spark as one SQL literal (:func:`id_in`).
 """
 from __future__ import annotations
 
@@ -116,24 +116,6 @@ class DiGraph:
     def num_edges(self) -> int:
         """Number of distinct directed edges."""
         return self.edges.count()
-
-    def out_degrees(self) -> DataFrame:
-        """Per-vertex out-degree: ``(id, out_degree)``, zero for sinks."""
-        deg = self.edges.groupBy(F.col("src").alias("id")).agg(
-            F.count("*").alias("out_degree")
-        )
-        return self.vertices.select("id").join(deg, "id", "left").select(
-            "id", F.coalesce("out_degree", F.lit(0)).alias("out_degree")
-        )
-
-    def in_degrees(self) -> DataFrame:
-        """Per-vertex in-degree: ``(id, in_degree)``, zero for sources."""
-        deg = self.edges.groupBy(F.col("dst").alias("id")).agg(
-            F.count("*").alias("in_degree")
-        )
-        return self.vertices.select("id").join(deg, "id", "left").select(
-            "id", F.coalesce("in_degree", F.lit(0)).alias("in_degree")
-        )
 
     def transpose(self) -> "DiGraph":
         """The graph with every edge reversed (basis of CheiRank)."""

@@ -1,40 +1,36 @@
-"""A GraphX-Pregel-style superstep engine over Spark DataFrames.
+"""A GraphX-Pregel-style superstep engine whose whole run is one Spark task.
 
 GraphX is JVM-only and unavailable from PySpark without external
 packages, so this module reimplements the superstep model of Pregel
-(Malewicz et al., SIGMOD 2010) with DataFrame operations:
+(Malewicz et al., SIGMOD 2010) for graphs that fit in one partition:
 
-* **Vertices own their out-edges.** Before the first superstep the edge
-  list is grouped into an ``out`` array per vertex (empty for sinks) and
-  stored in the vertex state, so sending needs no join.
-* **One partition, no exchange.** The graphs of this demo fit in one
-  partition, and every graph already arrives as one (built on the
-  driver or loaded from the datastore). The engine keeps the vertex
-  state there: the vertex rows and the messages (or, before the first
-  superstep, the edges) are coalesced to one partition before each
-  ``groupBy``, whose distribution one partition already satisfies. So
-  nothing is shuffled whatever the caller's partitioning, and the state
-  it returns is one partition too.
-* **One groupBy per superstep.** Each vertex sends its message
-  (``send_msg``) along every element of ``explode(out)``. The messages
-  are unioned with the vertices' own rows and reduced by a single
-  ``groupBy("id")`` that keeps the state (``first`` non-null) and sums
-  the messages into ``msg``. The vertex program (``update``) then
-  computes the new value from the state columns and ``msg``. Groups
-  without a state row are dropped: messages to unknown ids vanish.
-* **Aggregators.** Global values (``aggregators``) and the L1 delta
-  between successive values are computed with ``DataFrame.observe``
-  inside the eager ``localCheckpoint`` that ends the superstep, so they
-  cost no extra Spark job. Values aggregated in superstep S are handed
-  to ``update`` in superstep S+1; the delta is exact and is checked
-  after every superstep.
+* **One task, one job.** The vertex rows and the edges are unioned and
+  coalesced to one partition, and one ``mapInPandas`` runs every
+  superstep there, in NumPy. On graphs of this size a Spark job costs
+  far more than the arithmetic of a superstep (McSherry et al., "Scalability!
+  But at what COST?", HotOS 2015), so the engine iterates inside the
+  partition, as Giraph++ does (Tian et al., PVLDB 2013), and pays for one
+  job: the eager ``localCheckpoint`` that stores the final state.
+* **Arrays, not rows.** In the task, the vertex ids are sorted and the
+  edges become two index arrays. A vertex program sends one message per
+  vertex along each of its out-edges, and ``np.bincount`` over the edge
+  indices sums the messages each vertex receives.
+* **Lanes.** A run may carry several value vectors, one per lane, as
+  GraphX's ``runParallelPersonalizedPageRank`` carries one per source. A
+  lane follows the edges or, transposed, the reversed edges, and may name
+  a seed id set. Each lane stops at its own convergence: once its L1
+  delta is at most ``tol`` its values are frozen while the other lanes
+  go on, so a lane's values and superstep count are those of a run of
+  that lane alone.
+* **Metrics in the same job.** The task reports, per lane, the
+  supersteps, the final L1 delta and how many of its seeds are not
+  vertices, plus the vertex count; ``DataFrame.observe`` reads them in
+  the checkpoint's job.
 
-The checkpoint also truncates lineage: without it, 30+ chained
-supersteps make Catalyst analysis time explode. A superstep thus runs
-one Spark job, the checkpoint, in which the messages, the groupBy, the
-vertex program and the observed metrics all run as one stage. Each
-DataFrame call is analysed eagerly on the driver, so a superstep makes
-as few as it can.
+The function shipped to the Python worker is a closure over NumPy arrays
+and the caller's program, which must be closures too: a worker need not
+be able to import this package, so nothing in the task may refer to it
+by name.
 
 The bounded BFS (:func:`iterate_frontier`) keeps its few frontier ids on
 the driver instead: one filtering scan of the edges per level.
@@ -42,12 +38,39 @@ the driver instead: one filtering scan of the edges per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from pyspark.sql import Column, DataFrame, Observation
+import numpy as np
+import pandas as pd
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.graph.graph import id_in
+
+#: ``program(ids, seed, out_degree) -> (x0, send, update)``: given the
+#: sorted vertex ids, each lane's seed mask and each lane's out-degrees
+#: (``(lanes, n)`` arrays), the initial values ``x0``; ``send(x)``, the
+#: message each vertex sends along each of its out-edges; and
+#: ``update(x, msg)``, the new values given the sum of the messages each
+#: vertex received (0 where none).
+Program = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+
+
+class LaneResult(NamedTuple):
+    """Outcome of one lane.
+
+    Attributes:
+        iterations: supersteps the lane ran before it was frozen.
+        delta: exact L1 distance between its last two value vectors.
+        converged: whether ``delta <= tol`` froze the lane (as opposed to
+            hitting ``max_iter``).
+        missing: how many ids of the lane's seed set are not vertices.
+    """
+
+    iterations: int
+    delta: float
+    converged: bool
+    missing: int
 
 
 @dataclass(frozen=True)
@@ -55,59 +78,62 @@ class PregelResult:
     """Outcome of a pregel run.
 
     Attributes:
-        state: final vertex-state DataFrame, with the columns of the
-            initial state.
-        iterations: supersteps executed.
-        delta: exact L1 distance between the values of the last two
-            states.
-        converged: whether ``delta <= tol`` stopped the loop (as opposed
-            to hitting ``max_iter``).
+        state: final values, ``(id, value_0, …, value_{L−1})``, one
+            column per lane; one partition.
+        num_vertices: number of vertices.
+        lanes: one :class:`LaneResult` per lane, in order.
     """
 
     state: DataFrame
-    iterations: int
-    delta: float
-    converged: bool
+    num_vertices: int
+    lanes: tuple[LaneResult, ...]
+
+    @property
+    def iterations(self) -> int:
+        """Supersteps executed (by the lane that ran longest)."""
+        return max(lane.iterations for lane in self.lanes)
+
+    @property
+    def delta(self) -> float:
+        """The largest final L1 delta of any lane."""
+        return max(lane.delta for lane in self.lanes)
+
+    @property
+    def converged(self) -> bool:
+        """Whether every lane converged."""
+        return all(lane.converged for lane in self.lanes)
 
 
 def pregel(
-    state: DataFrame,
+    vertices: DataFrame,
     edges: DataFrame,
-    send_msg: Column,
-    update: Callable[[dict[str, float]], Column],
+    program: Program,
     *,
-    aggregators: dict[str, Column] | None = None,
+    lanes: Sequence[tuple[Collection[int] | None, bool]] = ((None, False),),
     max_iter: int = 50,
     tol: float = 1e-9,
 ) -> PregelResult:
-    """Run supersteps until convergence or ``max_iter``.
+    """Run supersteps until every lane converges or ``max_iter``.
 
-    ``state`` and ``edges`` are brought into one partition on entry, so
-    a superstep is one Spark job whatever the caller's partitioning.
+    The whole run is one Spark task in one Spark job, whatever the
+    caller's partitioning.
 
     Args:
-        state: initial vertex state, columns ``(id, value)`` with
-            ``value`` double, plus any other columns, which are carried
-            unchanged. The names ``out``, ``dst``, ``msg`` and ``_change``
-            are the engine's.
-        edges: edge frame, columns ``(src, dst)``; edges whose ``src``
-            has no state row are ignored.
-        send_msg: the message a vertex sends along each of its
-            out-edges, a ``Column`` over its state columns and ``out``
-            (the array of its out-neighbour ids).
-        update: the vertex program. Given the previous superstep's
-            aggregator values by name, returns the ``Column`` of the new
-            ``value`` over the state columns and ``msg``, the sum of the
-            vertex's incoming messages (null if it received none).
-        aggregators: global aggregate columns over the state (the state
-            columns and ``out``), by name. Each is evaluated on the state
-            a superstep produces (and on the initial state) and passed
-            to ``update`` in the next superstep.
+        vertices: vertex frame with an ``id`` column (others are ignored).
+        edges: edge frame ``(src, dst)``; an edge with an endpoint that is
+            not a vertex is ignored.
+        program: the vertex program (:data:`Program`), run in the task.
+            It and the functions it returns must be closures over NumPy
+            values, not functions of an importable module. ``x0`` may be
+            1-D when there is one lane.
+        lanes: per lane, ``(seeds, transposed)``: the lane's seed ids
+            (``None``: every vertex is a seed), given to ``program`` as a
+            mask, and whether the lane follows the reversed edges.
         max_iter: superstep cap, at least 1.
-        tol: L1 convergence threshold, at least 0.
+        tol: per-lane L1 convergence threshold, at least 0.
 
     Returns:
-        A :class:`PregelResult`; its ``state`` is one partition.
+        A :class:`PregelResult`.
 
     Raises:
         ValueError: ``max_iter < 1`` or ``tol < 0``; raised before any
@@ -117,77 +143,86 @@ def pregel(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if tol < 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    columns = state.columns
-    fields = [c for c in columns if c != "id"]
-    kept = tuple(F.first(c, ignorenulls=True).alias(c) for c in fields)
-    has_state = F.col("out").isNotNull()
-    # Vertex rows with an empty ``out`` ∪ one row per edge, grouped in one
-    # partition: ``out`` collects each vertex's out-neighbours, and stays
-    # null (so the group is dropped) where ``src`` has no vertex row.
-    rows = state.withColumn("out", F.array().cast("array<long>")).unionByName(
-        edges.select(F.col("src").alias("id"), "dst"), allowMissingColumns=True
-    )
-    first_out = F.first("out", ignorenulls=True)
-    cur = (
-        rows.coalesce(1)
-        .groupBy("id")
-        .agg(*kept, F.concat(first_out, F.collect_list("dst")).alias("out"))
-        .filter(has_state)
-    )
-    named = [c.alias(k) for k, c in (aggregators or {}).items()]
-    cur, aggs = _checkpoint(cur, named)
-    # Columns do not depend on the superstep: build them once, as each
-    # one is a round trip to the JVM.
-    send = (F.explode("out").alias("id"), send_msg.alias("msg"))
-    reduce = (*kept, first_out.alias("out"), F.sum("msg").alias("msg"))
-    value = F.col("value")
-    metrics = [F.sum("_change").alias("_delta"), *named]
-    delta = float("inf")
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        # The union of two one-partition frames is two partitions;
-        # coalescing it back to one lets the groupBy run without an
-        # exchange, so the superstep is the checkpoint's job alone.
-        grouped = (
-            cur.unionByName(cur.select(*send), allowMissingColumns=True)
-            .coalesce(1)
-            .groupBy("id")
-            .agg(*reduce)
-            .filter(has_state)
-        )
-        new = update(aggs)
-        # ``_change`` stays in the stored state (the next superstep's
-        # groupBy drops it), so no call is spent on dropping it here.
-        nxt = grouped.select(
-            "id",
-            *(new.alias(c) if c == "value" else c for c in fields),
-            "out",
-            F.abs(new - value).alias("_change"),
-        )
-        cur, aggs = _checkpoint(nxt, metrics)
-        delta = aggs.pop("_delta") or 0.0
-        if delta <= tol:
-            converged = True
-            break
-    return PregelResult(
-        state=cur.select(*columns).coalesce(1),
-        iterations=it,
-        delta=delta,
-        converged=converged,
-    )
+    seeds = [None if s is None else np.unique(np.asarray(list(s), np.int64))
+             for s, _ in lanes]
+    transposed = [bool(t) for _, t in lanes]
+    count = len(lanes)
+    values = [f"value_{i}" for i in range(count)]
+    # Per lane, its supersteps, final L1 delta and missing seeds, with the
+    # values that hold when Spark, seeing the input is empty, runs no task.
+    stats = {}
+    for i, r in enumerate(seeds):
+        stats |= {f"iterations_{i}": 0, f"delta_{i}": 0.0,
+                  f"missing_{i}": 0 if r is None else r.size}
+    names = list(stats)
+    schema = ", ".join(["id long", *(f"{c} double" for c in values + names)])
 
+    def kernel(batches):
+        # Runs in the Python worker: NumPy and pandas only, no repro names.
+        batch = list(batches)
 
-def _checkpoint(
-    df: DataFrame, metrics: list[Column]
-) -> tuple[DataFrame, dict[str, float]]:
-    """Materialise ``df`` with an eager ``localCheckpoint`` and return it
-    with ``metrics`` (named aggregate columns over ``df``) by name,
-    observed in the same Spark job."""
-    if not metrics:
-        return df.localCheckpoint(eager=True), {}
+        def column(name, dtype):
+            return np.concatenate(
+                [b[name].to_numpy(dtype) for b in batch] + [np.empty(0, dtype)])
+
+        key, dst, is_edge = column("id", np.int64), column("dst", np.int64), column("edge", bool)
+        ids = np.unique(key[~is_edge])
+        n = ids.size
+        src, dst = key[is_edge], dst[is_edge]
+        keep = np.isin(src, ids) & np.isin(dst, ids)
+        s, d = np.searchsorted(ids, src[keep]), np.searchsorted(ids, dst[keep])
+        seed = np.array([np.ones(n, bool) if r is None else np.isin(ids, r) for r in seeds])
+        missing = [0 if r is None else r.size - int(m.sum()) for r, m in zip(seeds, seed)]
+        tails = np.array([d if t else s for t in transposed])
+        heads = np.array([s if t else d for t in transposed])
+        out_degree = np.array([np.bincount(t, minlength=n) for t in tails])
+        # Lane ``i`` of an (lanes, n) array is the slice [i·n, (i+1)·n) of its
+        # ravel, so one bincount scatters the messages of every lane.
+        shift = (np.arange(count) * n)[:, None]
+        tails, heads = (tails + shift).ravel(), (heads + shift).ravel()
+        x, send, update = program(ids, seed, out_degree)
+        x = np.array(x, dtype=float).reshape(count, n)
+        iterations = np.zeros(count, np.int64)
+        delta = np.full(count, np.inf)
+        active = np.ones(count, bool)
+        for it in range(1, max_iter + 1):
+            msg = np.bincount(heads, weights=send(x).ravel()[tails], minlength=count * n)
+            new = update(x, msg.reshape(count, n))
+            change = np.abs(new - x).sum(axis=1)
+            x = np.where(active[:, None], new, x)
+            iterations[active], delta[active] = it, change[active]
+            active &= ~(change <= tol)
+            if not active.any():
+                break
+        state = pd.DataFrame({"id": pd.array(ids, "Int64"), **dict(zip(values, x))})
+        # One more row, with a null id, carries the metrics.
+        metrics = pd.DataFrame([np.column_stack([iterations, delta, missing]).ravel()],
+                               columns=names)
+        metrics.insert(0, "id", pd.array([None], "Int64"))
+        yield pd.concat([state, metrics])
+
+    rows = vertices.select(
+        "id", F.col("id").alias("dst"), F.lit(False).alias("edge")
+    ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge")))
     obs = Observation()
-    return df.observe(obs, *metrics).localCheckpoint(eager=True), obs.get
+    metrics = [F.count("id").alias("n"),
+               *(F.coalesce(F.max(c), F.lit(float(v))).alias(c) for c, v in stats.items())]
+    done = (
+        rows.coalesce(1).mapInPandas(kernel, schema).observe(obs, *metrics)
+        .localCheckpoint(eager=True)
+    )
+    m = obs.get
+    return PregelResult(
+        # Whatever the input's partitioning, the checkpoint is one partition;
+        # ``coalesce(1)`` lets a window or top-k over the state see that.
+        state=done.filter(F.col("id").isNotNull()).select("id", *values).coalesce(1),
+        num_vertices=m["n"],
+        lanes=tuple(
+            LaneResult(int(m[f"iterations_{i}"]), m[f"delta_{i}"], m[f"delta_{i}"] <= tol,
+                       int(m[f"missing_{i}"]))
+            for i in range(count)
+        ),
+    )
 
 
 def iterate_frontier(

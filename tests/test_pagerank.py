@@ -1,10 +1,17 @@
-"""PageRank / CheiRank against the dense NumPy reference and closed forms.
+"""PageRank / CheiRank against the dense NumPy reference and closed forms,
+and the lanes and the shipped kernel of the shared power iteration.
 
-Full power-iteration runs are expensive on Spark (one Spark job per
-superstep), so each configuration is computed once in a module fixture
-and asserted many times.
+A power-iteration run is one Spark job whatever its superstep count, but
+a job still costs far more than the arithmetic, so each configuration is
+computed once in a module fixture and asserted many times.
 """
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+from pyspark import cloudpickle
 
 from tests.graphs import (
     BOWTIE,
@@ -15,7 +22,9 @@ from tests.graphs import (
     STAR_IN,
     random_digraph,
 )
-from repro.core.pagerank import cheirank, pagerank
+import repro.core.pagerank as pagerank_module
+from repro.core.pagerank import _power_iteration, cheirank, pagerank
+from repro.core.ppr import personalized_pagerank
 from repro.graph.graph import DiGraph
 from repro.reference import cheirank_ref, pagerank_ref
 
@@ -104,6 +113,17 @@ def test_alpha_zero_uniform(spark):
         assert v == pytest.approx(0.2, abs=1e-9)
 
 
+def test_empty_graph_raises(spark):
+    """No vertices: PageRank raises on the driver as before the one-task
+    engine (Spark may run no task at all for an input it knows is empty),
+    and PPR's reference is not present."""
+    g = DiGraph.from_edges(spark, CYCLE3).subgraph([])
+    with pytest.raises(ValueError, match="no vertices"):
+        pagerank(g)
+    with pytest.raises(KeyError, match="1 reference id"):
+        personalized_pagerank(g, 0)
+
+
 def test_invalid_alpha_raises(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
     with pytest.raises(ValueError, match="alpha"):
@@ -145,16 +165,107 @@ def test_cheirank_is_pagerank_on_transpose(spark):
         assert a[v] == pytest.approx(b[v], abs=1e-9)
 
 
-#: Spark jobs PageRank starts outside its supersteps: 1 for the vertex
-#: count and 1 for the initial checkpoint, which groups the edges into
-#: out-edge lists in the vertex state's one partition.
+#: Allowance for Spark jobs outside the supersteps (a vertex count and the
+#: out-edge grouping, when each superstep was a job of its own). The whole
+#: run is now one job, well inside the bound.
 SETUP_JOBS = 2
 
 
 def test_one_spark_job_per_superstep(spark, count_jobs):
-    """A superstep runs in one partition with no exchange, so it is the
-    checkpoint's job alone; dangling mass and the L1 delta are observed
-    in it (24 jobs when a superstep was an exchange plus the checkpoint)."""
+    """At most one Spark job per superstep: the whole run is the
+    checkpoint's one job, with dangling mass and the L1 delta computed in
+    its task (24 jobs when a superstep was an exchange plus the
+    checkpoint)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     jobs = count_jobs(lambda: pagerank(g, max_iter=10, tol=0.0))
     assert jobs <= 10 + SETUP_JOBS
+
+
+def test_spark_jobs_do_not_grow_with_supersteps(spark, count_jobs):
+    """Collecting PageRank after 10 or after 40 supersteps starts the same
+    jobs: the kernel's checkpoint and the collect (13 and 43 when each
+    superstep was a job)."""
+    g = DiGraph.from_edges(spark, DANGLING_CHAIN)
+    ten, forty = (
+        count_jobs(lambda: pagerank(g, max_iter=m, tol=0.0).collect()) for m in (10, 40)
+    )
+    assert ten == forty == 2
+
+
+# -- lanes ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def lane_runs(spark):
+    """PR α=0.85 and two PPR α=0.3 lanes on RANDOM_A, run together and one
+    by one; ``pregel`` is wrapped to keep each run's per-lane outcome."""
+    g = DiGraph.from_edges(spark, RANDOM_A)
+    lanes = [(None, 0.85, False), ([5], 0.3, False), ([0, 7], 0.3, False)]
+    results = []
+
+    def kept(*args, **kwargs):
+        results.append(pregel(*args, **kwargs))
+        return results[-1]
+
+    pregel = pagerank_module.pregel
+    pagerank_module.pregel = kept
+    try:
+        rows = _power_iteration(g, lanes, 60, 1e-10).collect()
+        together = [{r["id"]: r[f"score_{i}"] for r in rows} for i in range(len(lanes))]
+        alone = [
+            {r["id"]: r["score_0"] for r in _power_iteration(g, [lane], 60, 1e-10).collect()}
+            for lane in lanes
+        ]
+    finally:
+        pagerank_module.pregel = pregel
+    return together, alone, results[0].lanes, [r.lanes[0] for r in results[1:]]
+
+
+def test_lanes_give_single_lane_values(lane_runs):
+    together, alone, _, _ = lane_runs
+    assert together == alone
+
+
+def test_lanes_freeze_at_their_own_convergence(lane_runs):
+    """Each lane's supersteps, final delta and convergence are those of
+    its single-lane run, and the lanes converge at different supersteps."""
+    _, _, together, alone = lane_runs
+    assert together == tuple(alone)
+    assert all(lane.converged for lane in together)
+    assert len({lane.iterations for lane in together}) > 1
+
+
+def test_shipped_kernel_runs_without_the_package(spark, monkeypatch, tmp_path):
+    """The function ``_power_iteration`` hands to ``mapInPandas`` unpickles
+    and runs in a fresh interpreter that cannot import ``repro``, as in a
+    Python worker that has only the installed packages; its output
+    matches the oracle."""
+    g = DiGraph.from_edges(spark, RANDOM_A)
+    frame = type(g.vertices)
+    map_in_pandas = frame.mapInPandas
+    shipped = []
+
+    def keep(self, fn, schema, *args, **kwargs):
+        shipped.append((fn, self.toPandas()))
+        return map_in_pandas(self, fn, schema, *args, **kwargs)
+
+    monkeypatch.setattr(frame, "mapInPandas", keep)
+    _power_iteration(g, [(None, 0.85, False), ([5], 0.3, True)], 60, 1e-10)
+    (kernel, rows), = shipped
+    blob = tmp_path / "kernel.pkl"
+    blob.write_bytes(cloudpickle.dumps((kernel, rows)))
+    script = (
+        "import json, pickle, sys\n"
+        "sys.modules['repro'] = None  # as if not installed, even in an editable install\n"
+        "kernel, rows = pickle.load(open('kernel.pkl', 'rb'))\n"
+        "(out,) = kernel(iter([rows]))\n"
+        "out = out[out['id'].notna()]\n"
+        "print(json.dumps(dict(zip(out['id'].astype(str), out['value_0']))))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = {int(v): score for v, score in json.loads(done.stdout).items()}
+    want = pagerank_ref(RANDOM_A, alpha=0.85)
+    assert max(abs(got[v] - want[v]) for v in want) < 2e-5

@@ -4,6 +4,7 @@ import os
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from tests.graphs import BOWTIE
 from repro.datasets.wikilink import wikilink
@@ -203,8 +204,8 @@ def test_rank_algorithms_expose_pseudo_scores(exec_results, name):
 def test_executor_register_custom(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
     ex = Executor()
-    ex.register("indegree", lambda gr: gr.in_degrees().withColumnRenamed(
-        "in_degree", "score"))
+    ex.register("indegree", lambda gr: gr.edges.groupBy(F.col("dst").alias("id")).agg(
+        F.count("*").alias("score")))
     got = {r["id"]: r["score"] for r in ex.run(g, "indegree").collect()}
     assert got[0] == 3  # 1->0, 2->0, 3->0
     assert "indegree" in ex.algorithms()
@@ -342,6 +343,35 @@ def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
     tid = sched.submit(Task.make("bowtie", "pagerank", max_iter=10, tol=0.0))
     assert count_jobs(lambda: sched.run(tid)) <= 10 + 4
     assert Status(store).poll(tid)["state"] == "done"
+
+
+def test_pagerank_task_is_three_spark_jobs(spark, tmp_path, count_jobs):
+    """Every superstep runs in the one task of the power iteration's
+    checkpoint, and the vertex count is observed in it: 1 job, plus the
+    sorted limit and its names (14 jobs when each superstep was a job)."""
+    store = Datastore(str(tmp_path / "pr3"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", "pagerank", max_iter=10, tol=0.0))
+    assert count_jobs(lambda: sched.run(tid)) <= 3
+    assert Status(store).poll(tid)["state"] == "done"
+
+
+def test_unknown_ref_fails_on_the_driver(spark, tmp_path):
+    """An unknown reference is counted in the power iteration's task and
+    raised on the driver: the FAILED message is the KeyError, not a
+    Python-worker traceback."""
+    gw = ApiGateway(spark, str(tmp_path / "unknown-ref"), top_k_size=3)
+    gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    (tid,) = gw.submit_query_set(
+        [Task.make("bowtie", "personalized_pagerank", refs=[0, 99])]
+    )
+    poll = gw.poll(tid)
+    assert poll["state"] == "failed"
+    assert poll["error"].startswith("KeyError: ")
+    assert "1 reference id(s) not present in the graph" in poll["error"]
+    assert "PythonException" not in poll["error"]
+    assert "Traceback" not in poll["error"]
 
 
 def test_scheduler_caches_generated_dataset(spark, tmp_path):

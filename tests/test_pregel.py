@@ -1,4 +1,5 @@
-"""Tests for the DataFrame pregel engine and bounded BFS."""
+"""Tests for the one-task pregel engine and bounded BFS."""
+import numpy as np
 import pytest
 from pyspark.sql import Window
 from pyspark.sql import functions as F
@@ -8,178 +9,166 @@ from repro.graph.graph import DiGraph
 from repro.pregel.engine import iterate_frontier, pregel
 
 
-def _state(spark, values: dict[int, float]):
-    return spark.createDataFrame(
-        [(k, float(v)) for k, v in values.items()], "id long, value double"
-    )
+def _vertices(spark, ids):
+    return spark.createDataFrame([(i,) for i in ids], "id long")
 
 
 def _edges(spark, edges):
     return spark.createDataFrame(edges, "src long, dst long")
 
 
-def _send_value():
-    """Every vertex sends its value along each out-edge."""
-    return F.col("value")
+def _values(res):
+    return {r["id"]: r["value_0"] for r in res.state.collect()}
 
 
-def _replace_with_msg(_aggs):
-    return F.coalesce("msg", F.lit(0.0))
+def _rotate(init: dict[int, float]):
+    """A program that starts from ``init`` and in which every vertex sends
+    its value along each out-edge and becomes the sum of its messages (0
+    where none). Nested, so the worker need not import this module."""
+
+    def program(ids, seed, out_degree):
+        return np.array([init[i] for i in ids]), (lambda x: x), (lambda x, msg: msg)
+
+    return program
+
+
+def _run(spark, init, edges, **kw):
+    return pregel(_vertices(spark, init), _edges(spark, edges), _rotate(init), **kw)
 
 
 def test_one_superstep_rotates_cycle(spark):
     """On a 4-cycle, 'send my value' + 'become the message' is a rotation."""
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=1,
-    )
-    got = {r["id"]: r["value"] for r in res.state.collect()}
+    res = _run(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
+    got = _values(res)
     assert got == {0: 4.0, 1: 1.0, 2: 2.0, 3: 3.0}
     assert res.iterations == 1
 
 
 def test_four_supersteps_full_rotation(spark):
     init = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-    res = pregel(
-        _state(spark, init),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=4,
-        tol=0.0,
-    )
-    got = {r["id"]: r["value"] for r in res.state.collect()}
+    res = _run(spark, init, CYCLE4, max_iter=4, tol=0.0)
+    got = _values(res)
     assert got == init
 
 
 def test_convergence_stops_early(spark):
     """A fixpoint state converges on the first delta check."""
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=50,
-        tol=1e-12,
-    )
+    res = _run(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, CYCLE4, max_iter=50, tol=1e-12)
     assert res.converged
     assert res.iterations == 1
     assert res.delta == pytest.approx(0.0)
 
 
 def test_max_iter_reached_reports_not_converged(spark):
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=3,
-        tol=0.0,
-    )
+    res = _run(spark, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, CYCLE4, max_iter=3, tol=0.0)
     assert not res.converged
     assert res.iterations == 3
 
 
 def test_vertex_without_messages_keeps_update_semantics(spark):
-    """Node 0 in the dangling chain receives no messages → coalesce to 0."""
-    res = pregel(
-        _state(spark, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}),
-        _edges(spark, DANGLING_CHAIN),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=1,
-    )
-    got = {r["id"]: r["value"] for r in res.state.collect()}
+    """Node 0 in the dangling chain receives no messages → its sum is 0."""
+    res = _run(spark, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}, DANGLING_CHAIN, max_iter=1)
+    got = _values(res)
     assert got[0] == 0.0
     assert got[1] == 5.0
 
 
 def test_aggregator_seen_by_next_superstep(spark):
-    """A sum aggregated over the state of superstep S (the initial state
-    for S=0) is the value every vertex takes in superstep S+1."""
-    seen = []
+    """A sum over the state of superstep S (the initial state for S=0) is
+    what the vertex program sees in superstep S+1: every vertex becomes
+    the total, 10 after one superstep and 40 after two."""
 
-    def become_total(aggs):
-        seen.append(aggs["total"])
-        return F.lit(aggs["total"])
+    def program(ids, seed, out_degree):
+        def become_total(x, msg):
+            return np.full_like(x, x.sum())
 
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        become_total,
-        aggregators={"total": F.sum("value")},
-        max_iter=2,
-        tol=0.0,
-    )
+        return ids + 1.0, (lambda x: x), become_total
+
+    def run(max_iter):
+        return pregel(_vertices(spark, range(4)), _edges(spark, CYCLE4), program,
+                      max_iter=max_iter, tol=0.0)
+
+    seen = [_values(run(1))[0]]
+    res = run(2)
+    got = _values(res)
+    seen.append(got[0])
     assert seen == [10.0, 40.0]
-    got = {r["id"]: r["value"] for r in res.state.collect()}
     assert got == {0: 40.0, 1: 40.0, 2: 40.0, 3: 40.0}
 
 
 def test_messages_to_unknown_ids_dropped(spark):
-    """Edges into an id without a state row carry messages nowhere: the
+    """Edges into an id without a vertex row carry messages nowhere: the
     id does not appear in the next state."""
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 2.0}),
-        _edges(spark, [(0, 1), (1, 0), (1, 9)]),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=1,
-    )
-    got = {r["id"]: r["value"] for r in res.state.collect()}
+    res = _run(spark, {0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
+    got = _values(res)
     assert got == {0: 2.0, 1: 1.0}
 
 
 def test_delta_exact_after_one_superstep(spark):
     """Rotating 1, 2, 3, 4 on CYCLE4 changes the values by 3+1+1+1."""
-    res = pregel(
-        _state(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}),
-        _edges(spark, CYCLE4),
-        _send_value(),
-        _replace_with_msg,
-        max_iter=1,
-    )
+    res = _run(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
     assert res.delta == 6.0
     assert not res.converged
 
 
 def test_caller_partitioning_does_not_change_values(spark, count_jobs):
-    """State and edges spread over 8 partitions give the values of the
+    """Vertices and edges spread over 8 partitions give the values of the
     one-partition run, and the state comes back as one partition, so a
     window over it (as ``ranks`` takes) runs in one job."""
     init = {v: float(v + 1) for v in range(5)}
 
     def run(parts):
         res = pregel(
-            _state(spark, init).repartition(parts),
+            _vertices(spark, init).repartition(parts),
             _edges(spark, BOWTIE).repartition(parts),
-            _send_value(),
-            _replace_with_msg,
+            _rotate(init),
             max_iter=3,
             tol=0.0,
         )
         return res.state
 
     spread = run(8)
-    assert {r["id"]: r["value"] for r in spread.collect()} == {
-        r["id"]: r["value"] for r in run(1).collect()
+    assert {r["id"]: r["value_0"] for r in spread.collect()} == {
+        r["id"]: r["value_0"] for r in run(1).collect()
     }
     assert spread.rdd.getNumPartitions() == 1
     numbered = spread.select(F.row_number().over(Window.orderBy("id")))
     assert count_jobs(numbered.collect) == 1
 
 
+def test_whole_run_is_one_spark_job(spark, count_jobs):
+    """Every superstep runs in the one task of the checkpoint's job: 1
+    and 30 supersteps start the same single job."""
+    init = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
+    for max_iter in (1, 30):
+        res = []
+        assert count_jobs(lambda: res.append(_run(spark, init, CYCLE4, max_iter=max_iter,
+                                                    tol=0.0))) == 1
+        assert res[0].iterations == max_iter
+        assert res[0].num_vertices == 4
+
+
+def test_lanes_follow_their_direction_and_seeds(spark):
+    """A transposed lane rotates the other way; each lane's seed mask is
+    its own and its unknown seeds are counted."""
+
+    def program(ids, seed, out_degree):
+        return np.where(seed, ids + 1.0, 0.0), (lambda x: x), (lambda x, msg: msg)
+
+    res = pregel(_vertices(spark, range(4)), _edges(spark, CYCLE4), program,
+                 lanes=[(None, False), ([0, 9], True)], max_iter=1)
+    rows = {r["id"]: (r["value_0"], r["value_1"]) for r in res.state.collect()}
+    assert rows == {0: (4.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0), 3: (3.0, 1.0)}
+    assert [lane.missing for lane in res.lanes] == [0, 1]
+
+
 @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}])
 def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
-    state, edges = _state(spark, {0: 1.0}), _edges(spark, [(0, 0)])
+    vertices, edges = _vertices(spark, [0]), _edges(spark, [(0, 0)])
 
     def run():
         with pytest.raises(ValueError, match=next(iter(kw))):
-            pregel(state, edges, _send_value(), _replace_with_msg, **kw)
+            pregel(vertices, edges, _rotate({0: 1.0}), **kw)
 
     assert count_jobs(run) == 0
 

@@ -14,15 +14,18 @@ from repro.reference import (
 RANDOM_A = random_digraph(12, 0.25, seed=7)
 
 
-def _rank_df(spark, mapping):
+def _score_df(spark, k, kstar):
+    """``(id, score_0, score_1)`` whose ranks, largest score first, are
+    ``k`` and ``kstar``."""
     return spark.createDataFrame(
-        [(k, 0.0, v) for k, v in mapping.items()], "id long, score double, rank int"
+        [(v, -float(k[v]), -float(kstar[v])) for v in k],
+        "id long, score_0 double, score_1 double",
     )
 
 
 def test_combine_ranks_diagonal(spark):
     k = {0: 1, 1: 2, 2: 3}
-    out = combine_ranks(_rank_df(spark, k), _rank_df(spark, k))
+    out = combine_ranks(_score_df(spark, k, k))
     got = {r["id"]: r["rank"] for r in out.collect()}
     assert got == k
 
@@ -35,7 +38,7 @@ def test_combine_ranks_matches_reference_on_permutations(spark, seed):
     n = 8
     k = {i: int(r) + 1 for i, r in enumerate(rng.permutation(n))}
     kstar = {i: int(r) + 1 for i, r in enumerate(rng.permutation(n))}
-    out = combine_ranks(_rank_df(spark, k), _rank_df(spark, kstar))
+    out = combine_ranks(_score_df(spark, k, kstar))
     got = {r["id"]: r["rank"] for r in out.collect()}
     assert got == twodrank_ref(k, kstar)
 
@@ -43,7 +46,7 @@ def test_combine_ranks_matches_reference_on_permutations(spark, seed):
 def test_combine_ranks_is_permutation(spark):
     k = {0: 2, 1: 1, 2: 3, 3: 4}
     kstar = {0: 4, 1: 3, 2: 1, 3: 2}
-    out = combine_ranks(_rank_df(spark, k), _rank_df(spark, kstar))
+    out = combine_ranks(_score_df(spark, k, kstar))
     assert sorted(r["rank"] for r in out.collect()) == [1, 2, 3, 4]
 
 
@@ -81,6 +84,17 @@ def test_twodrank_produces_ranking_not_scores(spark):
     assert set(out.columns) == {"id", "rank"}
 
 
+def test_twodrank_collect_spark_jobs(spark, count_jobs):
+    """Both power iterations are lanes of one run (1 job), and both ranks
+    and the sweep are windows over its one-partition frame, so the collect
+    is 1 job with no exchange (4 jobs after the power iterations when the
+    two rank frames were joined)."""
+    from repro.graph.graph import DiGraph
+
+    g = DiGraph.from_edges(spark, BOWTIE)
+    assert count_jobs(lambda: twodrank(g).collect()) <= 2
+
+
 def test_personalized_twodrank_matches_reference(spark):
     from repro.graph.graph import DiGraph
 
@@ -105,8 +119,8 @@ def test_personalized_twodrank_star(spark):
 
 
 def test_ranks_helper_consistency(spark):
-    """repro.core.ranking.ranks (used inside twodrank) agrees with
-    ranks_ref on the same scores."""
+    """repro.core.ranking.ranks (whose order twodrank's ranks share)
+    agrees with ranks_ref on the same scores."""
     scores = {0: 0.4, 1: 0.1, 2: 0.4, 3: 0.9}
     df = spark.createDataFrame(list(scores.items()), "id long, score double")
     got = {r["id"]: r["rank"] for r in ranks(df).collect()}
