@@ -50,7 +50,8 @@ def _power_iteration(
         max_iter, tol: convergence controls (L1), applied to each lane.
 
     Returns:
-        ``(id, score_0, …, score_{L−1})``; each score column sums to 1.
+        ``(id, name, score_0, …, score_{L−1})``; each score column sums
+        to 1.
 
     Raises:
         ValueError: an α outside [0, 1] or an empty reference set (before
@@ -91,12 +92,12 @@ def _power_iteration(
             raise ValueError("graph has no vertices")
         if lane.missing:
             raise KeyError(f"{lane.missing} reference id(s) not present in the graph")
-    return res.state.toDF("id", *(f"score_{i}" for i in range(len(specs))))
+    return res.state.toDF("id", "name", *(f"score_{i}" for i in range(len(specs))))
 
 
 def _one_lane(g: DiGraph, lane: Lane, max_iter: int, tol: float) -> DataFrame:
-    """A single power iteration as ``(id, score)``."""
-    return _power_iteration(g, [lane], max_iter, tol).toDF("id", "score")
+    """A single power iteration as ``(id, name, score)``."""
+    return _power_iteration(g, [lane], max_iter, tol).toDF("id", "name", "score")
 
 
 def pagerank(
@@ -111,7 +112,7 @@ def pagerank(
         tol: L1 convergence threshold.
 
     Returns:
-        DataFrame ``(id, score)``; scores sum to 1.
+        DataFrame ``(id, name, score)``; scores sum to 1.
     """
     return _one_lane(g, (None, alpha, False), max_iter, tol)
 

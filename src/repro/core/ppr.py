@@ -35,7 +35,7 @@ def personalized_pagerank(
         max_iter, tol: convergence controls.
 
     Returns:
-        DataFrame ``(id, score)``; scores sum to 1 and the reference
+        DataFrame ``(id, name, score)``; scores sum to 1 and the reference
         set typically dominates.
     """
     return _one_lane(g, (refs, alpha, False), max_iter, tol)

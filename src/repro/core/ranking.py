@@ -11,8 +11,6 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.graph.graph import DiGraph
-
 
 def rank_by(column: str, *, ascending: bool = False) -> Column:
     """The 1-based rank of each row by ``column``: largest first (smallest
@@ -21,40 +19,29 @@ def rank_by(column: str, *, ascending: bool = False) -> Column:
     return F.row_number().over(Window.orderBy(order, F.col("id").asc()))
 
 
-def ranks(scores: DataFrame, *, ascending: bool = False) -> DataFrame:
-    """Attach a 1-based ``rank`` column to a ``(id, score)`` frame.
+def top_k(scores: DataFrame, k: int) -> pd.DataFrame:
+    """The ``k`` best vertices by score, named and ranked.
+
+    ``scores`` carries each vertex's name, as every algorithm's output
+    does, so one sorted ``limit`` (score descending, id tie-break) brings
+    the rows to the driver, where they are numbered ``rank = 1..n``: one
+    Spark job. This is the only top-k in the product: the scheduler stores
+    it and the table harnesses read their columns from it.
 
     Args:
-        scores: per-vertex scores.
-        ascending: rank smallest score first if True (default: largest
-            score is rank 1).
-
-    Returns:
-        ``(id, score, rank)`` with deterministic id tie-break.
-    """
-    return scores.select("id", "score", rank_by("score", ascending=ascending).alias("rank"))
-
-
-def top_k(g: DiGraph, scores: DataFrame, k: int) -> pd.DataFrame:
-    """The ``k`` best vertices of ``g`` by score, named and ranked.
-
-    One sorted ``limit`` (score descending, id tie-break) brings the rows
-    to the driver, where they are numbered ``rank = 1..n``; then the
-    names of those ≤ k ids are looked up (two Spark jobs in all). This is
-    the only top-k in the product: the scheduler stores it and the table
-    harnesses read their columns from it.
+        scores: ``(id, name, score)``.
+        k: how many rows to keep.
 
     Returns:
         pandas ``(id, score, rank, name)`` in rank order.
     """
     top = (
-        scores.select("id", "score")
+        scores.select("id", "score", "name")
         .orderBy(F.col("score").desc(), F.col("id").asc())
         .limit(k)
         .toPandas()
     )
     top.insert(2, "rank", range(1, len(top) + 1))
-    top["name"] = top["id"].map(g.names_of(top["id"]))
     return top
 
 

@@ -35,14 +35,14 @@ def combine_ranks(scores: DataFrame) -> DataFrame:
     no join is planned.
 
     Args:
-        scores: ``(id, score_0, score_1)``: the PageRank-side and the
-            CheiRank-side score of each vertex.
+        scores: ``(id, name, score_0, score_1)``: the PageRank-side and
+            the CheiRank-side score of each vertex.
 
     Returns:
-        ``(id, rank)`` — the 2DRank position (1 = best).
+        ``(id, name, rank)`` — the 2DRank position (1 = best).
     """
     ranked = scores.select(
-        "id", rank_by("score_0").alias("k"), rank_by("score_1").alias("kstar")
+        "id", "name", rank_by("score_0").alias("k"), rank_by("score_1").alias("kstar")
     )
     shell = F.greatest("k", "kstar")
     # vertical side (K == shell, K* < shell) first, ordered by K*;
@@ -50,7 +50,7 @@ def combine_ranks(scores: DataFrame) -> DataFrame:
     side = F.when(F.col("kstar") < F.col("k"), F.lit(0)).otherwise(F.lit(1))
     offset = F.when(F.col("kstar") < F.col("k"), F.col("kstar")).otherwise(F.col("k"))
     w = Window.orderBy(shell.asc(), side.asc(), offset.asc(), F.col("id").asc())
-    return ranked.select("id", F.row_number().over(w).alias("rank"))
+    return ranked.select("id", "name", F.row_number().over(w).alias("rank"))
 
 
 def twodrank(

@@ -2,8 +2,9 @@
 
 A :class:`DiGraph` pairs a vertex DataFrame ``(id: long, name: string)``
 with an edge DataFrame ``(src: long, dst: long)``. All algorithms in
-``repro.core`` take these two frames and return a DataFrame of scores or
-ranks; none uses the RDD API.
+``repro.core`` take these two frames and return a DataFrame that carries
+each vertex's ``id`` and ``name`` with its score or rank; none uses the
+RDD API.
 
 Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
 dedups the edges and derives the vertex set in pandas, so a generated or
@@ -14,21 +15,18 @@ construct it.
 The power iterations run in Spark, in that one partition: on graphs of
 this size a Spark job costs far more than a superstep's arithmetic, so
 the Pregel engine runs a whole power iteration, every superstep in
-NumPy, in one task of one job. CycleRank is local by design: its BFS
-keeps only the frontier ids on the driver, and its cycle search runs
-there over the small ball it has pruned to. Id sets held on the driver
-reach Spark as one SQL literal (:func:`id_in`).
+NumPy, in one task of one job. CycleRank is local by design: it
+collects the edges to the driver once, and its BFS and cycle search run
+there, in plain Python, over the small ball it prunes to.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 VERTEX_SCHEMA = StructType(
@@ -37,18 +35,6 @@ VERTEX_SCHEMA = StructType(
 EDGE_SCHEMA = StructType(
     [StructField("src", LongType()), StructField("dst", LongType())]
 )
-
-
-def id_in(column: str, ids: Iterable[int]) -> Column:
-    """``column IN (ids)`` as one SQL literal, one JVM call for any number
-    of ids (``Column.isin`` makes one per id); empty ``ids`` match no row.
-
-    Raises:
-        TypeError: an id is not an integer (``operator.index``), so no
-            other text reaches the SQL parser.
-    """
-    literal = ", ".join(f"{operator.index(i)}L" for i in ids)
-    return F.expr(f"`{column}` IN ({literal})") if literal else F.lit(False)
 
 
 @dataclass(frozen=True)
@@ -116,35 +102,3 @@ class DiGraph:
     def num_edges(self) -> int:
         """Number of distinct directed edges."""
         return self.edges.count()
-
-    def transpose(self) -> "DiGraph":
-        """The graph with every edge reversed (basis of CheiRank)."""
-        return DiGraph(
-            vertices=self.vertices,
-            edges=self.edges.select(
-                F.col("dst").alias("src"), F.col("src").alias("dst")
-            ),
-        )
-
-    def subgraph(self, ids: Iterable[int]) -> "DiGraph":
-        """Induced subgraph on the vertex ``ids`` (held on the driver, so
-        both frames are filters that need no shuffle)."""
-        ids = list(ids)
-        return DiGraph(
-            vertices=self.vertices.filter(id_in("id", ids)),
-            edges=self.edges.filter(id_in("src", ids) & id_in("dst", ids)),
-        )
-
-    # -- name lookups (driver-side; for display and experiment harnesses) --
-
-    def id_of(self, name: str) -> int:
-        """Vertex id for an exact ``name`` (raises KeyError if absent/ambiguous)."""
-        rows = self.vertices.filter(F.col("name") == name).select("id").collect()
-        if len(rows) != 1:
-            raise KeyError(f"name {name!r} matched {len(rows)} vertices")
-        return rows[0]["id"]
-
-    def names_of(self, ids: Iterable[int]) -> dict[int, str]:
-        """id→name mapping for the given ids (driver-side collect)."""
-        rows = self.vertices.filter(id_in("id", ids)).collect()
-        return {r["id"]: r["name"] for r in rows}

@@ -2,11 +2,14 @@
 
 Holds the registry of the demo's seven algorithms. Each entry maps the
 algorithm name (as used in tasks) to a callable
-``(DiGraph, **params) -> DataFrame`` returning per-vertex ``(id,
-score)`` — for the 2DRank pair, which "does not assign a score to each
-node, but just produces a ranking" (Section II), the rank is exposed as
-a descending pseudo-score ``-rank`` so every algorithm is top-k-able
-through the same interface. A callable's signature names the
+``(DiGraph, **params) -> DataFrame`` returning per-vertex ``(id, name,
+score)``: the vertex's id and name from the graph's vertex frame, and
+its score. The name travels with the score so that
+:func:`~repro.core.ranking.top_k` needs no lookup of its own. For the
+2DRank pair, which "does not assign a score to each node, but just
+produces a ranking" (Section II), the rank is exposed as a descending
+pseudo-score ``-rank`` so every algorithm is top-k-able through the
+same interface. A callable's signature names the
 parameters it accepts: the wrappers below report their core function's
 (``functools.wraps``) or declare them, never a bare ``**kw``, so a task
 can be checked against it before any dataset is fetched.
@@ -32,7 +35,7 @@ AlgorithmFn = Callable[..., DataFrame]
 
 
 def _rank_to_score(ranked: DataFrame) -> DataFrame:
-    return ranked.select("id", (-F.col("rank")).cast("double").alias("score"))
+    return ranked.select("id", "name", (-F.col("rank")).cast("double").alias("score"))
 
 
 @functools.wraps(twodrank)
@@ -105,7 +108,7 @@ class Executor:
             ) from None
 
     def run(self, g: DiGraph, algorithm: str, **params) -> DataFrame:
-        """Execute ``algorithm`` on ``g``; returns ``(id, score)``.
+        """Execute ``algorithm`` on ``g``; returns ``(id, name, score)``.
 
         Raises:
             KeyError: unknown algorithm.

@@ -107,7 +107,7 @@ class Scheduler:
             inspect.signature(fn).bind(None, **task.kwargs)
             g = self._fetch_dataset(task.dataset)
             scores = fn(g, **task.kwargs)
-            self.datastore.save_result(tid, top_k(g, scores, self.top_k_size))
+            self.datastore.save_result(tid, top_k(scores, self.top_k_size))
         except Exception as exc:  # noqa: BLE001 — terminal state captures all
             self.datastore.append_log(
                 tid, "failed", error=f"{type(exc).__name__}: {exc}"

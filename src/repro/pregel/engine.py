@@ -32,8 +32,9 @@ and the caller's program, which must be closures too: a worker need not
 be able to import this package, so nothing in the task may refer to it
 by name.
 
-The bounded BFS (:func:`iterate_frontier`) keeps its few frontier ids on
-the driver instead: one filtering scan of the edges per level.
+The bounded BFS (:func:`iterate_frontier`) is not Spark code at all: it
+walks edge arrays the caller has already collected to the driver, as
+CycleRank does once per task, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -44,8 +45,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
-
-from repro.graph.graph import id_in
 
 #: ``program(ids, seed, out_degree) -> (x0, send, update)``: given the
 #: sorted vertex ids, each lane's seed mask and each lane's out-degrees
@@ -78,8 +77,8 @@ class PregelResult:
     """Outcome of a pregel run.
 
     Attributes:
-        state: final values, ``(id, value_0, …, value_{L−1})``, one
-            column per lane; one partition.
+        state: final values, ``(id, name, value_0, …, value_{L−1})``,
+            one column per lane; one partition.
         num_vertices: number of vertices.
         lanes: one :class:`LaneResult` per lane, in order.
     """
@@ -119,7 +118,8 @@ def pregel(
     caller's partitioning.
 
     Args:
-        vertices: vertex frame with an ``id`` column (others are ignored).
+        vertices: vertex frame ``(id, name)``; each vertex's name is
+            carried through the task to ``state`` unchanged.
         edges: edge frame ``(src, dst)``; an edge with an endpoint that is
             not a vertex is ignored.
         program: the vertex program (:data:`Program`), run in the task.
@@ -155,7 +155,7 @@ def pregel(
         stats |= {f"iterations_{i}": 0, f"delta_{i}": 0.0,
                   f"missing_{i}": 0 if r is None else r.size}
     names = list(stats)
-    schema = ", ".join(["id long", *(f"{c} double" for c in values + names)])
+    schema = ", ".join(["id long", "name string", *(f"{c} double" for c in values + names)])
 
     def kernel(batches):
         # Runs in the Python worker: NumPy and pandas only, no repro names.
@@ -166,7 +166,8 @@ def pregel(
                 [b[name].to_numpy(dtype) for b in batch] + [np.empty(0, dtype)])
 
         key, dst, is_edge = column("id", np.int64), column("dst", np.int64), column("edge", bool)
-        ids = np.unique(key[~is_edge])
+        ids, first = np.unique(key[~is_edge], return_index=True)
+        label = column("name", object)[~is_edge][first]
         n = ids.size
         src, dst = key[is_edge], dst[is_edge]
         keep = np.isin(src, ids) & np.isin(dst, ids)
@@ -194,7 +195,8 @@ def pregel(
             active &= ~(change <= tol)
             if not active.any():
                 break
-        state = pd.DataFrame({"id": pd.array(ids, "Int64"), **dict(zip(values, x))})
+        state = pd.DataFrame({"id": pd.array(ids, "Int64"), "name": label,
+                              **dict(zip(values, x))})
         # One more row, with a null id, carries the metrics.
         metrics = pd.DataFrame([np.column_stack([iterations, delta, missing]).ravel()],
                                columns=names)
@@ -202,8 +204,9 @@ def pregel(
         yield pd.concat([state, metrics])
 
     rows = vertices.select(
-        "id", F.col("id").alias("dst"), F.lit(False).alias("edge")
-    ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge")))
+        "id", F.col("id").alias("dst"), F.lit(False).alias("edge"), "name"
+    ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge"),
+                               F.lit(None).cast("string").alias("name")))
     obs = Observation()
     metrics = [F.count("id").alias("n"),
                *(F.coalesce(F.max(c), F.lit(float(v))).alias(c) for c, v in stats.items())]
@@ -215,7 +218,7 @@ def pregel(
     return PregelResult(
         # Whatever the input's partitioning, the checkpoint is one partition;
         # ``coalesce(1)`` lets a window or top-k over the state see that.
-        state=done.filter(F.col("id").isNotNull()).select("id", *values).coalesce(1),
+        state=done.filter(F.col("id").isNotNull()).select("id", "name", *values).coalesce(1),
         num_vertices=m["n"],
         lanes=tuple(
             LaneResult(int(m[f"iterations_{i}"]), m[f"delta_{i}"], m[f"delta_{i}"] <= tol,
@@ -226,37 +229,34 @@ def pregel(
 
 
 def iterate_frontier(
-    seed: Iterable[int], edges: DataFrame, *, max_depth: int
+    seed: Iterable[int], edges: pd.DataFrame, *, max_depth: int
 ) -> tuple[set[int], set[int]]:
     """Two-way bounded BFS: the vertex ids within ``max_depth`` hops of
     ``seed`` following out-edges, and those following in-edges, expanded
     in the same loop.
 
-    The frontiers live on the driver. Each level is one scan of
-    ``edges`` for the rows leaving the new forward frontier or entering
-    the new backward one (one Spark job, no shuffle); the loop stops
-    early once both frontiers are empty. The driver receives at most one
-    row per edge touching a frontier.
+    Runs on the driver over the edge arrays, so it starts no Spark job;
+    the loop stops early once both frontiers are empty.
 
     Args:
         seed: the seed vertex ids.
-        edges: edge frame ``(src, dst)``.
+        edges: pandas edge frame ``(src, dst)``.
         max_depth: number of hops to expand.
 
     Returns:
         ``(forward, backward)`` id sets; both contain the seeds. Used by
         CycleRank's K-ball pruning.
     """
+    src = np.asarray(edges["src"], np.int64)
+    dst = np.asarray(edges["dst"], np.int64)
     fwd = set(seed)
     bwd = set(fwd)
     new_fwd, new_bwd = set(fwd), set(bwd)
     for _ in range(max_depth):
         if not (new_fwd or new_bwd):
             break
-        touching = id_in("src", new_fwd) | id_in("dst", new_bwd)
-        rows = edges.filter(touching).select("src", "dst").collect()
-        new_fwd = {d for s, d in rows if s in new_fwd} - fwd
-        new_bwd = {s for s, d in rows if d in new_bwd} - bwd
+        new_fwd = set(dst[np.isin(src, list(new_fwd))].tolist()) - fwd
+        new_bwd = set(src[np.isin(dst, list(new_bwd))].tolist()) - bwd
         fwd |= new_fwd
         bwd |= new_bwd
     return fwd, bwd

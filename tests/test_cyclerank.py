@@ -102,6 +102,14 @@ def test_all_vertices_present_in_output(spark, bowtie_k3):
     assert set(bowtie_k3) == {0, 1, 2, 3, 4}
 
 
+def test_scores_carry_vertex_names(spark):
+    g = DiGraph.from_edges(spark, BOWTIE, names={0: "zero"})
+    out = cyclerank(g, 0, k=3)
+    assert out.columns == ["id", "name", "score"]
+    assert {r["id"]: r["name"] for r in out.collect()} == {
+        0: "zero", **{v: f"node_{v}" for v in range(1, 5)}}
+
+
 # -- against the DFS reference -----------------------------------------
 
 
@@ -161,6 +169,21 @@ def test_unknown_sigma_raises_before_spark(spark, count_jobs):
     assert count_jobs(run) == 0
 
 
+@pytest.mark.parametrize("bad", [1.5, "1) OR (1=1"])
+def test_non_integer_ref_raises_before_spark(spark, count_jobs, bad):
+    """A ref that is not an integer is rejected by ``operator.index``
+    before the edges are collected."""
+    g = DiGraph.from_edges(spark, RANDOM_C)
+
+    def run():
+        with pytest.raises(TypeError):
+            cyclerank(g, bad, k=3)
+        with pytest.raises(TypeError):
+            cycle_counts(g, bad, 3)
+
+    assert count_jobs(run) == 0
+
+
 def test_sigma_const_counts_cycles(spark):
     g = DiGraph.from_edges(spark, COMPLETE4)
     got = _scores(cyclerank(g, 0, k=4, sigma="const"))
@@ -174,7 +197,7 @@ def test_prune_preserves_scores(spark):
     """The ball around ref 5 leaves vertices out, and the scores still
     equal the DFS reference over the whole edge list."""
     g = DiGraph.from_edges(spark, RANDOM_C)
-    ball = {r["id"] for r in prune_to_k_ball(g, 5, 3).vertices.collect()}
+    ball, _ = prune_to_k_ball(g, 5, 3)
     assert ball < {v for e in RANDOM_C for v in e}
     got = _scores(cyclerank(g, 5, k=3))
     assert got == pytest.approx(cyclerank_ref(RANDOM_C, 5, 3))
@@ -182,8 +205,7 @@ def test_prune_preserves_scores(spark):
 
 def test_prune_ball_contains_all_cycle_nodes(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
-    ball = prune_to_k_ball(g, 0, 3)
-    ids = {r["id"] for r in ball.vertices.collect()}
+    ids, _ = prune_to_k_ball(g, 0, 3)
     # nodes 0,1,2,3 are on cycles through 0 (len <= 3); 4 is not
     assert {0, 1, 2, 3} <= ids
     assert 4 not in ids
@@ -192,8 +214,17 @@ def test_prune_ball_contains_all_cycle_nodes(spark):
 def test_prune_far_tail_cut(spark):
     """A long tail hanging off a 2-cycle is outside the 1-ball."""
     g = DiGraph.from_edges(spark, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
-    ball = prune_to_k_ball(g, 0, 2)
-    assert {r["id"] for r in ball.vertices.collect()} == {0, 1}
+    ids, edges = prune_to_k_ball(g, 0, 2)
+    assert ids == {0, 1}
+    assert set(zip(edges["src"], edges["dst"])) == {(0, 1), (1, 0)}
+
+
+def test_prune_ball_keeps_a_vertex_without_induced_edge(spark):
+    """At K=2 the ball around 0 on a 3-cycle is 0 alone (1 is one hop
+    forward, 2 one hop back): an id with no induced edge."""
+    ids, edges = prune_to_k_ball(DiGraph.from_edges(spark, CYCLE3), 0, 2)
+    assert ids == {0}
+    assert edges.empty
 
 
 # -- cycle_counts -------------------------------------------------------
@@ -234,6 +265,14 @@ def test_missing_ref_raises(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
     with pytest.raises(KeyError, match="reference node"):
         cyclerank(g, 42, k=3)
+
+
+def test_ref_outside_long_range_raises_key_error(spark):
+    """An integer ref that no long id can equal is unknown, like any other
+    (not a JVM error from comparing it with the id column)."""
+    g = DiGraph.from_edges(spark, CYCLE3)
+    with pytest.raises(KeyError, match="reference node"):
+        cyclerank(g, 2**70, k=3)
 
 
 def test_spark_jobs_bounded(spark, count_jobs):

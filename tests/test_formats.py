@@ -107,7 +107,8 @@ def test_pajek_roundtrip(spark, tmp_path):
     )
     g = read_pajek(spark, str(p))
     assert edge_set(g) == {(1, 2), (2, 3), (3, 1)}
-    assert g.id_of("beta") == 2
+    v = g.vertices.toPandas()
+    assert v.loc[v["name"] == "beta", "id"].tolist() == [2]
 
 
 def test_pajek_parses_comments_and_blank_lines(spark, tmp_path):

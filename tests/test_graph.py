@@ -1,10 +1,9 @@
 """Tests for the DataFrame-backed DiGraph substrate."""
-import numpy as np
 import pandas as pd
 import pytest
 
 from tests.graphs import BOWTIE, CYCLE3, STAR_IN
-from repro.graph.graph import DiGraph, id_in
+from repro.graph.graph import DiGraph
 
 
 @pytest.fixture(scope="module")
@@ -61,80 +60,6 @@ def test_star_in_degree(spark):
     g = DiGraph.from_edges(spark, STAR_IN)
     degs = _degrees(g, "dst")
     assert degs[0] == 4
-
-
-# -- transpose ----------------------------------------------------------
-
-
-def test_transpose_reverses_edges(spark):
-    g = DiGraph.from_edges(spark, [(0, 1), (1, 2)])
-    t = {(r["src"], r["dst"]) for r in g.transpose().edges.collect()}
-    assert t == {(1, 0), (2, 1)}
-
-
-def test_transpose_involution(spark, bowtie):
-    tt = {(r["src"], r["dst"]) for r in bowtie.transpose().transpose().edges.collect()}
-    assert tt == set(BOWTIE)
-
-
-def test_transpose_swaps_degrees(spark, bowtie):
-    outs = _degrees(bowtie, "src")
-    t_ins = _degrees(bowtie.transpose(), "dst")
-    assert outs == t_ins
-
-
-# -- subgraph -----------------------------------------------------------
-
-
-def test_subgraph_induced(spark, bowtie):
-    sub = bowtie.subgraph([0, 1, 2])
-    assert sub.num_vertices() == 3
-    got = {(r["src"], r["dst"]) for r in sub.edges.collect()}
-    assert got == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}
-
-
-def test_subgraph_empty(spark, bowtie):
-    sub = bowtie.subgraph([101, 102])
-    assert sub.num_vertices() == 0
-    assert sub.num_edges() == 0
-
-
-# -- lookups ------------------------------------------------------------
-
-
-def test_id_of(bowtie):
-    assert bowtie.id_of("zero") == 0
-
-
-def test_id_of_missing_raises(bowtie):
-    with pytest.raises(KeyError):
-        bowtie.id_of("missing")
-
-
-def test_names_of(bowtie):
-    assert bowtie.names_of([0, 3]) == {0: "zero", 3: "node_3"}
-
-
-# -- id_in --------------------------------------------------------------
-
-
-def test_id_in_empty_matches_no_row(bowtie):
-    assert bowtie.vertices.filter(id_in("id", [])).count() == 0
-
-
-def test_id_in_accepts_numpy_ids(bowtie):
-    ids = np.array([0, 3], dtype="int64")
-    got = {r["id"] for r in bowtie.vertices.filter(id_in("id", ids)).collect()}
-    assert got == {0, 3}
-
-
-@pytest.mark.parametrize("bad", [1.5, "1) OR (1=1"])
-def test_id_in_rejects_non_integers_before_spark(count_jobs, bad):
-    def run():
-        with pytest.raises(TypeError):
-            id_in("id", [0, bad])
-
-    assert count_jobs(run) == 0
 
 
 def test_cycle3_roundtrip(spark):

@@ -117,7 +117,7 @@ def test_empty_graph_raises(spark):
     """No vertices: PageRank raises on the driver as before the one-task
     engine (Spark may run no task at all for an input it knows is empty),
     and PPR's reference is not present."""
-    g = DiGraph.from_edges(spark, CYCLE3).subgraph([])
+    g = DiGraph.from_edges(spark, [])
     with pytest.raises(ValueError, match="no vertices"):
         pagerank(g)
     with pytest.raises(KeyError, match="1 reference id"):
@@ -159,7 +159,9 @@ def test_cheirank_is_pagerank_on_transpose(spark):
     a = {r["id"]: r["score"] for r in cheirank(g, max_iter=40).collect()}
     b = {
         r["id"]: r["score"]
-        for r in pagerank(g.transpose(), max_iter=40).collect()
+        for r in pagerank(
+            DiGraph.from_edges(spark, [(d, s) for s, d in STAR_IN]), max_iter=40
+        ).collect()
     }
     for v in a:
         assert a[v] == pytest.approx(b[v], abs=1e-9)
@@ -239,8 +241,9 @@ def test_shipped_kernel_runs_without_the_package(spark, monkeypatch, tmp_path):
     """The function ``_power_iteration`` hands to ``mapInPandas`` unpickles
     and runs in a fresh interpreter that cannot import ``repro``, as in a
     Python worker that has only the installed packages; its output
-    matches the oracle."""
-    g = DiGraph.from_edges(spark, RANDOM_A)
+    matches the oracle, and the vertex rows' names come back with it."""
+    names = {v: f"nœud {v}" for e in RANDOM_A for v in e}
+    g = DiGraph.from_edges(spark, RANDOM_A, names=names)
     frame = type(g.vertices)
     map_in_pandas = frame.mapInPandas
     shipped = []
@@ -252,6 +255,7 @@ def test_shipped_kernel_runs_without_the_package(spark, monkeypatch, tmp_path):
     monkeypatch.setattr(frame, "mapInPandas", keep)
     _power_iteration(g, [(None, 0.85, False), ([5], 0.3, True)], 60, 1e-10)
     (kernel, rows), = shipped
+    assert "name" in rows.columns
     blob = tmp_path / "kernel.pkl"
     blob.write_bytes(cloudpickle.dumps((kernel, rows)))
     script = (
@@ -260,12 +264,15 @@ def test_shipped_kernel_runs_without_the_package(spark, monkeypatch, tmp_path):
         "kernel, rows = pickle.load(open('kernel.pkl', 'rb'))\n"
         "(out,) = kernel(iter([rows]))\n"
         "out = out[out['id'].notna()]\n"
-        "print(json.dumps(dict(zip(out['id'].astype(str), out['value_0']))))\n"
+        "print(json.dumps({str(i): [n, v] for i, n, v in\n"
+        "                  zip(out['id'], out['name'], out['value_0'])}))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    got = {int(v): score for v, score in json.loads(done.stdout).items()}
+    out = {int(v): row for v, row in json.loads(done.stdout).items()}
+    assert {v: name for v, (name, _) in out.items()} == names
+    got = {v: score for v, (_, score) in out.items()}
     want = pagerank_ref(RANDOM_A, alpha=0.85)
     assert max(abs(got[v] - want[v]) for v in want) < 2e-5

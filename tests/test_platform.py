@@ -81,7 +81,8 @@ def test_datastore_dataset_roundtrip(spark, store):
     assert g2.vertices.dtypes == [("id", "bigint"), ("name", "string")]
     assert g2.edges.dtypes == [("src", "bigint"), ("dst", "bigint")]
     assert g2.num_edges() == len(BOWTIE)
-    assert g2.id_of("zero") == 0
+    v = g2.vertices.toPandas()
+    assert v.loc[v["name"] == "zero", "id"].tolist() == [0]
 
 
 def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
@@ -205,8 +206,10 @@ def test_executor_register_custom(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
     ex = Executor()
     ex.register("indegree", lambda gr: gr.edges.groupBy(F.col("dst").alias("id")).agg(
-        F.count("*").alias("score")))
-    got = {r["id"]: r["score"] for r in ex.run(g, "indegree").collect()}
+        F.count("*").alias("score")).join(gr.vertices, "id").select("id", "name", "score"))
+    out = ex.run(g, "indegree")
+    assert out.columns == ["id", "name", "score"]
+    got = {r["id"]: r["score"] for r in out.collect()}
     assert got[0] == 3  # 1->0, 2->0, 3->0
     assert "indegree" in ex.algorithms()
 
@@ -322,9 +325,9 @@ def test_scheduler_states(spark, tmp_path):
 
 
 def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
-    """A K=5 CycleRank task on a stored dataset: four BFS levels, the
-    ball's edges, the sorted limit and its names (25 jobs when the BFS
-    shuffled and checkpointed every level)."""
+    """A K=5 CycleRank task on a stored dataset: the edge collect and the
+    sorted limit (25 jobs when the BFS shuffled and checkpointed every
+    level)."""
     store = Datastore(str(tmp_path / "cr"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     sched = Scheduler(spark, store, top_k_size=3)
@@ -334,9 +337,9 @@ def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
 
 
 def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
-    """A PageRank task on a stored dataset: the vertex count, the
-    out-edge lists, one job per superstep, the sorted limit and its
-    names (27 jobs when a superstep was an exchange plus the checkpoint)."""
+    """A PageRank task on a stored dataset, within a bound of one job per
+    superstep plus four: the checkpoint and the sorted limit (27 jobs when
+    a superstep was an exchange plus the checkpoint)."""
     store = Datastore(str(tmp_path / "pr"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     sched = Scheduler(spark, store, top_k_size=3)
@@ -348,13 +351,62 @@ def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
 def test_pagerank_task_is_three_spark_jobs(spark, tmp_path, count_jobs):
     """Every superstep runs in the one task of the power iteration's
     checkpoint, and the vertex count is observed in it: 1 job, plus the
-    sorted limit and its names (14 jobs when each superstep was a job)."""
+    sorted limit (14 jobs when each superstep was a job)."""
     store = Datastore(str(tmp_path / "pr3"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     sched = Scheduler(spark, store, top_k_size=3)
     tid = sched.submit(Task.make("bowtie", "pagerank", max_iter=10, tol=0.0))
     assert count_jobs(lambda: sched.run(tid)) <= 3
     assert Status(store).poll(tid)["state"] == "done"
+
+
+#: Parameters of one task per registered algorithm.
+TASK_PARAMS = {
+    **{name: {} for name in ("pagerank", "cheirank", "2drank")},
+    **{name: {"refs": [0]} for name in (
+        "personalized_pagerank", "personalized_cheirank", "personalized_2drank")},
+    "cyclerank": {"refs": [0], "k": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm, params",
+    [*TASK_PARAMS.items(), ("cyclerank", {"refs": [0], "k": 5})],
+    ids=[*TASK_PARAMS, "cyclerank-k5"],
+)
+def test_every_task_is_at_most_two_spark_jobs(spark, tmp_path, count_jobs,
+                                              algorithm, params):
+    """Every algorithm's task on a stored dataset is one job for the
+    algorithm (the power iteration's checkpoint, or CycleRank's edge
+    collect) and one for the named top-k (3 for a power iteration and
+    5 to 7 for CycleRank when top-k looked its names up, and CycleRank
+    scanned the edges once per BFS level)."""
+    assert set(TASK_PARAMS) == set(ALGORITHMS)
+    store = Datastore(str(tmp_path / "two"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", algorithm, **params))
+    assert count_jobs(lambda: sched.run(tid)) <= 2
+    result = Status(store).result(tid)
+    assert len(result) == 3
+    names = {0: "zero", **{v: f"node_{v}" for v in range(1, 5)}}
+    assert list(result["name"]) == [names[v] for v in result["id"]]
+
+
+@pytest.mark.parametrize("bad", [1.5, "1) OR (1=1"])
+def test_cyclerank_non_integer_ref_fails_cleanly(spark, tmp_path, count_jobs, bad):
+    """A ref that is not an integer ends the task FAILED with the
+    TypeError, before any Spark job, and no result is stored."""
+    gw = ApiGateway(spark, str(tmp_path / "bad-ref"), top_k_size=3)
+    gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    tids = []
+    task = Task.make("bowtie", "cyclerank", refs=[bad], k=3)
+    assert count_jobs(lambda: tids.extend(gw.submit_query_set([task]))) == 0
+    poll = gw.poll(tids[0])
+    assert poll["state"] == "failed"
+    assert poll["error"].startswith("TypeError: ")
+    assert not poll["has_result"]
+    assert not gw.datastore.has_result(tids[0])
 
 
 def test_unknown_ref_fails_on_the_driver(spark, tmp_path):

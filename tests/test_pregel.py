@@ -1,16 +1,16 @@
 """Tests for the one-task pregel engine and bounded BFS."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import Window
 from pyspark.sql import functions as F
 
 from tests.graphs import BOWTIE, CYCLE4, DANGLING_CHAIN, DISCONNECTED
-from repro.graph.graph import DiGraph
 from repro.pregel.engine import iterate_frontier, pregel
 
 
 def _vertices(spark, ids):
-    return spark.createDataFrame([(i,) for i in ids], "id long")
+    return spark.createDataFrame([(i, f"v{i}") for i in ids], "id long, name string")
 
 
 def _edges(spark, edges):
@@ -42,6 +42,13 @@ def test_one_superstep_rotates_cycle(spark):
     got = _values(res)
     assert got == {0: 4.0, 1: 1.0, 2: 2.0, 3: 3.0}
     assert res.iterations == 1
+
+
+def test_state_carries_vertex_names(spark):
+    """Each vertex's name comes back with its value; an edge endpoint
+    without a vertex row adds no row."""
+    res = _run(spark, {0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
+    assert {r["id"]: r["name"] for r in res.state.collect()} == {0: "v0", 1: "v1"}
 
 
 def test_four_supersteps_full_rotation(spark):
@@ -114,7 +121,7 @@ def test_delta_exact_after_one_superstep(spark):
 def test_caller_partitioning_does_not_change_values(spark, count_jobs):
     """Vertices and edges spread over 8 partitions give the values of the
     one-partition run, and the state comes back as one partition, so a
-    window over it (as ``ranks`` takes) runs in one job."""
+    window over it (as ``rank_by`` takes) runs in one job."""
     init = {v: float(v + 1) for v in range(5)}
 
     def run(parts):
@@ -176,38 +183,38 @@ def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
 # -- iterate_frontier ---------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def chain_graph(spark):
-    return DiGraph.from_edges(spark, [(0, 1), (1, 2), (2, 3), (3, 4)])
+def _edge_frame(edges):
+    return pd.DataFrame(edges, columns=["src", "dst"])
 
 
-def test_frontier_depth_zero_is_seed(chain_graph):
-    fwd, bwd = iterate_frontier([2], chain_graph.edges, max_depth=0)
+CHAIN = _edge_frame([(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+def test_frontier_depth_zero_is_seed():
+    fwd, bwd = iterate_frontier([2], CHAIN, max_depth=0)
     assert fwd == bwd == {2}
 
 
 @pytest.mark.parametrize("depth,expected", [(1, {0, 1}), (2, {0, 1, 2}), (9, {0, 1, 2, 3, 4})])
-def test_frontier_out_depths(chain_graph, depth, expected):
-    fwd, bwd = iterate_frontier([0], chain_graph.edges, max_depth=depth)
+def test_frontier_out_depths(depth, expected):
+    fwd, bwd = iterate_frontier([0], CHAIN, max_depth=depth)
     assert fwd == ({0} | expected)
     assert bwd == {0}
 
 
-def test_frontier_in_direction(chain_graph):
-    fwd, bwd = iterate_frontier([4], chain_graph.edges, max_depth=2)
+def test_frontier_in_direction():
+    fwd, bwd = iterate_frontier([4], CHAIN, max_depth=2)
     assert bwd == {2, 3, 4}
     assert fwd == {4}
 
 
-def test_frontier_stops_at_component(spark):
-    g = DiGraph.from_edges(spark, DISCONNECTED)
-    fwd, bwd = iterate_frontier([0], g.edges, max_depth=10)
+def test_frontier_stops_at_component():
+    fwd, bwd = iterate_frontier([0], _edge_frame(DISCONNECTED), max_depth=10)
     assert fwd == bwd == {0, 1}
 
 
-def test_frontier_one_spark_job_per_level(chain_graph, count_jobs):
-    edges = chain_graph.edges.localCheckpoint()
-    assert count_jobs(lambda: iterate_frontier([0], edges, max_depth=3)) == 3
-    # Level 5 finds no edge out of node 4; the loop ends with both
-    # frontiers empty instead of running the other four levels.
-    assert count_jobs(lambda: iterate_frontier([0], edges, max_depth=9)) == 5
+def test_frontier_starts_no_spark_job(count_jobs):
+    """The BFS walks edge arrays on the driver: no level is a Spark job
+    (one job per level when each level scanned the edge frame)."""
+    for depth in (3, 9):
+        assert count_jobs(lambda: iterate_frontier([0], CHAIN, max_depth=depth)) == 0

@@ -1,16 +1,21 @@
-"""Tests for ranking helpers (ranks, top-k, contamination) and the
+"""Tests for ranking helpers (rank_by, top-k, contamination) and the
 DuckDB oracle they are checked against."""
 import pytest
 
-from repro.core.ranking import contamination, ranks, top_k
-from repro.graph.graph import DiGraph
+from repro.core.ranking import contamination, rank_by, top_k
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
 def scores_df(spark):
     rows = [(0, 0.9), (1, 0.5), (2, 0.5), (3, 0.1), (4, 0.7)]
-    return spark.createDataFrame(rows, "id long, score double")
+    return spark.createDataFrame(
+        [(i, f"n{i}", score) for i, score in rows], "id long, name string, score double"
+    )
+
+
+def ranks(scores, *, ascending=False):
+    return scores.select("id", "score", rank_by("score", ascending=ascending).alias("rank"))
 
 
 def test_ranks_descending(scores_df):
@@ -44,60 +49,51 @@ def test_ranks_oracle(spark, scores_df):
     )
 
 
-@pytest.fixture(scope="module")
-def named(spark):
-    return DiGraph.from_edges(
-        spark,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
-        names={i: f"n{i}" for i in range(5)},
-    )
-
-
-def test_top_k(named, scores_df):
-    got = top_k(named, scores_df, 3)
+def test_top_k(scores_df):
+    got = top_k(scores_df, 3)
     assert list(got.columns) == ["id", "score", "rank", "name"]
+    assert [str(t) for t in got.dtypes] == ["int64", "float64", "int64", "object"]
     assert list(zip(got["id"], got["rank"], got["name"])) == [
         (0, 1, "n0"), (4, 2, "n4"), (1, 3, "n1")
     ]
 
 
-def test_top_k_larger_than_n(named, scores_df):
-    assert len(top_k(named, scores_df, 99)) == 5
+def test_top_k_larger_than_n(scores_df):
+    assert len(top_k(scores_df, 99)) == 5
 
 
-def test_top_k_two_spark_jobs(named, scores_df, count_jobs):
-    """One job for the sorted limit, one for the names of its rows."""
-    g = DiGraph(named.vertices.localCheckpoint(), named.edges.localCheckpoint())
+def test_top_k_one_spark_job(scores_df, count_jobs):
+    """The names travel with the scores, so the sorted limit is the only
+    job (two when the names of its rows were looked up afterwards)."""
     scores = scores_df.localCheckpoint()
-    assert count_jobs(lambda: top_k(g, scores, 3)) == 2
+    assert count_jobs(lambda: top_k(scores, 3)) == 1
 
 
-def test_top_k_oracle(named, scores_df):
+def test_top_k_oracle(scores_df):
     assert_equivalent(
-        top_k(named, scores_df, 3),
+        top_k(scores_df, 3),
         """
-        SELECT r.id, r.score, r.rank, v.name FROM (
-            SELECT id, score,
+        SELECT id, score, rank, name FROM (
+            SELECT id, score, name,
                    ROW_NUMBER() OVER (ORDER BY score DESC, id ASC) AS rank
             FROM scores
-        ) r LEFT JOIN vertices v USING (id) WHERE r.rank <= 3
+        ) WHERE rank <= 3
         """,
         scores=scores_df,
-        vertices=named.vertices,
     )
 
 
 def test_oracle_detects_wrong_result(scores_df):
     with pytest.raises(AssertionError):
         assert_equivalent(
-            scores_df, "SELECT id, score + 1 AS score FROM scores", scores=scores_df
+            scores_df, "SELECT id, name, score + 1 AS score FROM scores", scores=scores_df
         )
 
 
 def test_oracle_detects_column_mismatch(scores_df):
     with pytest.raises(AssertionError, match="column mismatch"):
         assert_equivalent(
-            scores_df, "SELECT id, score AS wrong_name FROM scores", scores=scores_df
+            scores_df, "SELECT id, name, score AS wrong_name FROM scores", scores=scores_df
         )
 
 

@@ -2,7 +2,7 @@
 import pytest
 
 from tests.graphs import BOWTIE, STAR_IN, random_digraph
-from repro.core.ranking import ranks
+from repro.core.ranking import rank_by
 from repro.core.tdrank import combine_ranks, personalized_twodrank, twodrank
 from repro.reference import (
     cheirank_ref,
@@ -15,11 +15,11 @@ RANDOM_A = random_digraph(12, 0.25, seed=7)
 
 
 def _score_df(spark, k, kstar):
-    """``(id, score_0, score_1)`` whose ranks, largest score first, are
-    ``k`` and ``kstar``."""
+    """``(id, name, score_0, score_1)`` whose ranks, largest score first,
+    are ``k`` and ``kstar``."""
     return spark.createDataFrame(
-        [(v, -float(k[v]), -float(kstar[v])) for v in k],
-        "id long, score_0 double, score_1 double",
+        [(v, f"n{v}", -float(k[v]), -float(kstar[v])) for v in k],
+        "id long, name string, score_0 double, score_1 double",
     )
 
 
@@ -28,6 +28,7 @@ def test_combine_ranks_diagonal(spark):
     out = combine_ranks(_score_df(spark, k, k))
     got = {r["id"]: r["rank"] for r in out.collect()}
     assert got == k
+    assert {r["id"]: r["name"] for r in out.collect()} == {v: f"n{v}" for v in k}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -76,12 +77,13 @@ def test_twodrank_is_full_ranking(twod_random):
 
 def test_twodrank_produces_ranking_not_scores(spark):
     """Section II: 2DRank 'does not assign a score to each node, but
-    just produces a ranking' — the output column is ``rank``."""
+    just produces a ranking' — the output column is ``rank``, beside the
+    vertex's id and name."""
     from repro.graph.graph import DiGraph
 
     g = DiGraph.from_edges(spark, BOWTIE)
     out = twodrank(g, max_iter=20)
-    assert set(out.columns) == {"id", "rank"}
+    assert set(out.columns) == {"id", "name", "rank"}
 
 
 def test_twodrank_collect_spark_jobs(spark, count_jobs):
@@ -119,9 +121,9 @@ def test_personalized_twodrank_star(spark):
 
 
 def test_ranks_helper_consistency(spark):
-    """repro.core.ranking.ranks (whose order twodrank's ranks share)
-    agrees with ranks_ref on the same scores."""
+    """repro.core.ranking.rank_by (twodrank's ranks) agrees with ranks_ref
+    on the same scores."""
     scores = {0: 0.4, 1: 0.1, 2: 0.4, 3: 0.9}
     df = spark.createDataFrame(list(scores.items()), "id long, score double")
-    got = {r["id"]: r["rank"] for r in ranks(df).collect()}
+    got = {r["id"]: r["rank"] for r in df.select("id", rank_by("score").alias("rank")).collect()}
     assert got == ranks_ref(scores)
