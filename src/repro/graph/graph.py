@@ -12,12 +12,13 @@ uploaded graph reaches Spark as two one-partition frames parallelized
 from the driver, and the first action on it runs no dedup or join to
 construct it.
 
-The power iterations run in Spark, in that one partition: on graphs of
-this size a Spark job costs far more than a superstep's arithmetic, so
-the Pregel engine runs a whole power iteration, every superstep in
-NumPy, in one task of one job. CycleRank is local by design: it
-collects the edges to the driver once, and its BFS and cycle search run
-there, in plain Python, over the small ball it prunes to.
+On graphs of this size a Spark job costs far more than the work on the
+graph, so the algorithms read a graph with one collect and compute on
+the driver. The Pregel engine collects the vertices and edges once and
+runs every superstep of a power iteration there, in NumPy. CycleRank is
+local by design: it collects the edges to the driver once, and its BFS
+and cycle search run there, in plain Python, over the small ball it
+prunes to.
 """
 from __future__ import annotations
 

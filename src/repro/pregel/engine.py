@@ -1,20 +1,21 @@
-"""A GraphX-Pregel-style superstep engine whose whole run is one Spark task.
+"""A GraphX-Pregel-style superstep engine whose whole run is one Spark job.
 
 GraphX is JVM-only and unavailable from PySpark without external
 packages, so this module reimplements the superstep model of Pregel
-(Malewicz et al., SIGMOD 2010) for graphs that fit in one partition:
+(Malewicz et al., SIGMOD 2010) for graphs that fit on one machine:
 
-* **One task, one job.** The vertex rows and the edges are unioned and
-  coalesced to one partition, and one ``mapInPandas`` runs every
-  superstep there, in NumPy. On graphs of this size a Spark job costs
-  far more than the arithmetic of a superstep (McSherry et al., "Scalability!
-  But at what COST?", HotOS 2015), so the engine iterates inside the
-  partition, as Giraph++ does (Tian et al., PVLDB 2013), and pays for one
-  job: the eager ``localCheckpoint`` that stores the final state.
-* **Arrays, not rows.** In the task, the vertex ids are sorted and the
-  edges become two index arrays. A vertex program sends one message per
-  vertex along each of its out-edges, and ``np.bincount`` over the edge
-  indices sums the messages each vertex receives.
+* **One collect, then the driver.** The vertex rows and the edges are
+  unioned and collected with one ``toPandas`` (one Spark job, over
+  Arrow), and every superstep runs on the driver, in NumPy. On graphs of
+  this size a Spark job costs far more than the arithmetic of a
+  superstep (McSherry et al., "Scalability! But at what COST?", HotOS
+  2015), so the engine pays for that one job and iterates where the data
+  already is. The final state goes back to Spark as a frame built from
+  the driver's, which starts no job.
+* **Arrays, not rows.** The vertex ids are sorted and the edges become
+  two index arrays. A vertex program sends one message per vertex along
+  each of its out-edges, and ``np.bincount`` over the edge indices sums
+  the messages each vertex receives.
 * **Lanes.** A run may carry several value vectors, one per lane, as
   GraphX's ``runParallelPersonalizedPageRank`` carries one per source. A
   lane follows the edges or, transposed, the reversed edges, and may name
@@ -22,15 +23,9 @@ packages, so this module reimplements the superstep model of Pregel
   delta is at most ``tol`` its values are frozen while the other lanes
   go on, so a lane's values and superstep count are those of a run of
   that lane alone.
-* **Metrics in the same job.** The task reports, per lane, the
-  supersteps, the final L1 delta and how many of its seeds are not
-  vertices, plus the vertex count; ``DataFrame.observe`` reads them in
-  the checkpoint's job.
-
-The function shipped to the Python worker is a closure over NumPy arrays
-and the caller's program, which must be closures too: a worker need not
-be able to import this package, so nothing in the task may refer to it
-by name.
+* **Metrics as values.** The run reports, per lane, the supersteps, the
+  final L1 delta and how many of its seeds are not vertices, plus the
+  vertex count, as plain Python values.
 
 The bounded BFS (:func:`iterate_frontier`) is not Spark code at all: it
 walks edge arrays the caller has already collected to the driver, as
@@ -38,12 +33,13 @@ CycleRank does once per task, and starts no Spark job.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Observation
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 #: ``program(ids, seed, out_degree) -> (x0, send, update)``: given the
@@ -51,7 +47,7 @@ from pyspark.sql import functions as F
 #: (``(lanes, n)`` arrays), the initial values ``x0``; ``send(x)``, the
 #: message each vertex sends along each of its out-edges; and
 #: ``update(x, msg)``, the new values given the sum of the messages each
-#: vertex received (0 where none).
+#: vertex received (0 where none). All three run on the driver.
 Program = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
@@ -114,17 +110,15 @@ def pregel(
 ) -> PregelResult:
     """Run supersteps until every lane converges or ``max_iter``.
 
-    The whole run is one Spark task in one Spark job, whatever the
-    caller's partitioning.
+    The whole run is one Spark job, the collect of the graph, whatever
+    the caller's partitioning; the supersteps run on the driver.
 
     Args:
         vertices: vertex frame ``(id, name)``; each vertex's name is
-            carried through the task to ``state`` unchanged.
+            carried through the run to ``state`` unchanged.
         edges: edge frame ``(src, dst)``; an edge with an endpoint that is
             not a vertex is ignored.
-        program: the vertex program (:data:`Program`), run in the task.
-            It and the functions it returns must be closures over NumPy
-            values, not functions of an importable module. ``x0`` may be
+        program: the vertex program (:data:`Program`). ``x0`` may be
             1-D when there is one lane.
         lanes: per lane, ``(seeds, transposed)``: the lane's seed ids
             (``None``: every vertex is a seed), given to ``program`` as a
@@ -136,9 +130,15 @@ def pregel(
         A :class:`PregelResult`.
 
     Raises:
+        TypeError: ``max_iter`` is not an integer; raised before any
+            Spark job runs.
         ValueError: ``max_iter < 1`` or ``tol < 0``; raised before any
             Spark job runs.
     """
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise TypeError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if tol < 0:
@@ -148,81 +148,53 @@ def pregel(
     transposed = [bool(t) for _, t in lanes]
     count = len(lanes)
     values = [f"value_{i}" for i in range(count)]
-    # Per lane, its supersteps, final L1 delta and missing seeds, with the
-    # values that hold when Spark, seeing the input is empty, runs no task.
-    stats = {}
-    for i, r in enumerate(seeds):
-        stats |= {f"iterations_{i}": 0, f"delta_{i}": 0.0,
-                  f"missing_{i}": 0 if r is None else r.size}
-    names = list(stats)
-    schema = ", ".join(["id long", "name string", *(f"{c} double" for c in values + names)])
-
-    def kernel(batches):
-        # Runs in the Python worker: NumPy and pandas only, no repro names.
-        batch = list(batches)
-
-        def column(name, dtype):
-            return np.concatenate(
-                [b[name].to_numpy(dtype) for b in batch] + [np.empty(0, dtype)])
-
-        key, dst, is_edge = column("id", np.int64), column("dst", np.int64), column("edge", bool)
-        ids, first = np.unique(key[~is_edge], return_index=True)
-        label = column("name", object)[~is_edge][first]
-        n = ids.size
-        src, dst = key[is_edge], dst[is_edge]
-        keep = np.isin(src, ids) & np.isin(dst, ids)
-        s, d = np.searchsorted(ids, src[keep]), np.searchsorted(ids, dst[keep])
-        seed = np.array([np.ones(n, bool) if r is None else np.isin(ids, r) for r in seeds])
-        missing = [0 if r is None else r.size - int(m.sum()) for r, m in zip(seeds, seed)]
-        tails = np.array([d if t else s for t in transposed])
-        heads = np.array([s if t else d for t in transposed])
-        out_degree = np.array([np.bincount(t, minlength=n) for t in tails])
-        # Lane ``i`` of an (lanes, n) array is the slice [i·n, (i+1)·n) of its
-        # ravel, so one bincount scatters the messages of every lane.
-        shift = (np.arange(count) * n)[:, None]
-        tails, heads = (tails + shift).ravel(), (heads + shift).ravel()
-        x, send, update = program(ids, seed, out_degree)
-        x = np.array(x, dtype=float).reshape(count, n)
-        iterations = np.zeros(count, np.int64)
-        delta = np.full(count, np.inf)
-        active = np.ones(count, bool)
-        for it in range(1, max_iter + 1):
-            msg = np.bincount(heads, weights=send(x).ravel()[tails], minlength=count * n)
-            new = update(x, msg.reshape(count, n))
-            change = np.abs(new - x).sum(axis=1)
-            x = np.where(active[:, None], new, x)
-            iterations[active], delta[active] = it, change[active]
-            active &= ~(change <= tol)
-            if not active.any():
-                break
-        state = pd.DataFrame({"id": pd.array(ids, "Int64"), "name": label,
-                              **dict(zip(values, x))})
-        # One more row, with a null id, carries the metrics.
-        metrics = pd.DataFrame([np.column_stack([iterations, delta, missing]).ravel()],
-                               columns=names)
-        metrics.insert(0, "id", pd.array([None], "Int64"))
-        yield pd.concat([state, metrics])
 
     rows = vertices.select(
         "id", F.col("id").alias("dst"), F.lit(False).alias("edge"), "name"
     ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge"),
                                F.lit(None).cast("string").alias("name")))
-    obs = Observation()
-    metrics = [F.count("id").alias("n"),
-               *(F.coalesce(F.max(c), F.lit(float(v))).alias(c) for c, v in stats.items())]
-    done = (
-        rows.coalesce(1).mapInPandas(kernel, schema).observe(obs, *metrics)
-        .localCheckpoint(eager=True)
-    )
-    m = obs.get
+    batch = rows.coalesce(1).toPandas()
+    key, dst = batch["id"].to_numpy(np.int64), batch["dst"].to_numpy(np.int64)
+    is_edge = batch["edge"].to_numpy(bool)
+    ids, first = np.unique(key[~is_edge], return_index=True)
+    label = batch["name"].to_numpy(object)[~is_edge][first]
+    n = ids.size
+    src, dst = key[is_edge], dst[is_edge]
+    keep = np.isin(src, ids) & np.isin(dst, ids)
+    s, d = np.searchsorted(ids, src[keep]), np.searchsorted(ids, dst[keep])
+    seed = np.array([np.ones(n, bool) if r is None else np.isin(ids, r) for r in seeds])
+    missing = [0 if r is None else r.size - int(m.sum()) for r, m in zip(seeds, seed)]
+    tails = np.array([d if t else s for t in transposed])
+    heads = np.array([s if t else d for t in transposed])
+    out_degree = np.array([np.bincount(t, minlength=n) for t in tails])
+    # Lane ``i`` of an (lanes, n) array is the slice [i·n, (i+1)·n) of its
+    # ravel, so one bincount scatters the messages of every lane.
+    shift = (np.arange(count) * n)[:, None]
+    tails, heads = (tails + shift).ravel(), (heads + shift).ravel()
+    x, send, update = program(ids, seed, out_degree)
+    x = np.array(x, dtype=float).reshape(count, n)
+    iterations = np.zeros(count, np.int64)
+    delta = np.full(count, np.inf)
+    active = np.ones(count, bool)
+    for it in range(1, max_iter + 1):
+        msg = np.bincount(heads, weights=send(x).ravel()[tails], minlength=count * n)
+        new = update(x, msg.reshape(count, n))
+        change = np.abs(new - x).sum(axis=1)
+        x = np.where(active[:, None], new, x)
+        iterations[active], delta[active] = it, change[active]
+        active &= ~(change <= tol)
+        if not active.any():
+            break
+
+    state = pd.DataFrame({"id": ids, "name": label, **dict(zip(values, x))})
+    schema = ", ".join(["id long", "name string", *(f"{c} double" for c in values)])
     return PregelResult(
-        # Whatever the input's partitioning, the checkpoint is one partition;
-        # ``coalesce(1)`` lets a window or top-k over the state see that.
-        state=done.filter(F.col("id").isNotNull()).select("id", "name", *values).coalesce(1),
-        num_vertices=m["n"],
+        # Built from the driver's frame, so no job; ``coalesce(1)`` keeps it
+        # one partition, which a window or top-k over the state can see.
+        state=vertices.sparkSession.createDataFrame(state, schema).coalesce(1),
+        num_vertices=n,
         lanes=tuple(
-            LaneResult(int(m[f"iterations_{i}"]), m[f"delta_{i}"], m[f"delta_{i}"] <= tol,
-                       int(m[f"missing_{i}"]))
+            LaneResult(int(iterations[i]), float(delta[i]), bool(delta[i] <= tol), missing[i])
             for i in range(count)
         ),
     )

@@ -1,17 +1,13 @@
 """PageRank / CheiRank against the dense NumPy reference and closed forms,
-and the lanes and the shipped kernel of the shared power iteration.
+and the lanes and the vertex program of the shared power iteration.
 
 A power-iteration run is one Spark job whatever its superstep count, but
 a job still costs far more than the arithmetic, so each configuration is
 computed once in a module fixture and asserted many times.
 """
-import json
 import os
-import subprocess
-import sys
 
 import pytest
-from pyspark import cloudpickle
 
 from tests.graphs import (
     BOWTIE,
@@ -169,14 +165,14 @@ def test_cheirank_is_pagerank_on_transpose(spark):
 
 #: Allowance for Spark jobs outside the supersteps (a vertex count and the
 #: out-edge grouping, when each superstep was a job of its own). The whole
-#: run is now one job, well inside the bound.
+#: run is now the one collect of the graph, well inside the bound.
 SETUP_JOBS = 2
 
 
 def test_one_spark_job_per_superstep(spark, count_jobs):
-    """At most one Spark job per superstep: the whole run is the
-    checkpoint's one job, with dangling mass and the L1 delta computed in
-    its task (24 jobs when a superstep was an exchange plus the
+    """At most one Spark job per superstep: the whole run is the one
+    collect of the graph, with dangling mass and the L1 delta computed on
+    the driver (24 jobs when a superstep was an exchange plus a
     checkpoint)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     jobs = count_jobs(lambda: pagerank(g, max_iter=10, tol=0.0))
@@ -185,8 +181,8 @@ def test_one_spark_job_per_superstep(spark, count_jobs):
 
 def test_spark_jobs_do_not_grow_with_supersteps(spark, count_jobs):
     """Collecting PageRank after 10 or after 40 supersteps starts the same
-    jobs: the kernel's checkpoint and the collect (13 and 43 when each
-    superstep was a job)."""
+    jobs: the engine's collect of the graph and the collect of the scores
+    (13 and 43 when each superstep was a job)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     ten, forty = (
         count_jobs(lambda: pagerank(g, max_iter=m, tol=0.0).collect()) for m in (10, 40)
@@ -237,42 +233,26 @@ def test_lanes_freeze_at_their_own_convergence(lane_runs):
     assert len({lane.iterations for lane in together}) > 1
 
 
-def test_shipped_kernel_runs_without_the_package(spark, monkeypatch, tmp_path):
-    """The function ``_power_iteration`` hands to ``mapInPandas`` unpickles
-    and runs in a fresh interpreter that cannot import ``repro``, as in a
-    Python worker that has only the installed packages; its output
-    matches the oracle, and the vertex rows' names come back with it."""
+def test_vertex_program_runs_on_the_driver(spark, monkeypatch):
+    """The vertex program ``_power_iteration`` hands to ``pregel`` runs in
+    this process, not in a Python worker; its output matches the oracle,
+    and the vertex rows' names come back with it."""
     names = {v: f"nœud {v}" for e in RANDOM_A for v in e}
     g = DiGraph.from_edges(spark, RANDOM_A, names=names)
-    frame = type(g.vertices)
-    map_in_pandas = frame.mapInPandas
-    shipped = []
+    pregel = pagerank_module.pregel
+    pids = []
 
-    def keep(self, fn, schema, *args, **kwargs):
-        shipped.append((fn, self.toPandas()))
-        return map_in_pandas(self, fn, schema, *args, **kwargs)
+    def kept(vertices, edges, program, **kwargs):
+        def recorded(*args):
+            pids.append(os.getpid())
+            return program(*args)
 
-    monkeypatch.setattr(frame, "mapInPandas", keep)
-    _power_iteration(g, [(None, 0.85, False), ([5], 0.3, True)], 60, 1e-10)
-    (kernel, rows), = shipped
-    assert "name" in rows.columns
-    blob = tmp_path / "kernel.pkl"
-    blob.write_bytes(cloudpickle.dumps((kernel, rows)))
-    script = (
-        "import json, pickle, sys\n"
-        "sys.modules['repro'] = None  # as if not installed, even in an editable install\n"
-        "kernel, rows = pickle.load(open('kernel.pkl', 'rb'))\n"
-        "(out,) = kernel(iter([rows]))\n"
-        "out = out[out['id'].notna()]\n"
-        "print(json.dumps({str(i): [n, v] for i, n, v in\n"
-        "                  zip(out['id'], out['name'], out['value_0'])}))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    out = {int(v): row for v, row in json.loads(done.stdout).items()}
-    assert {v: name for v, (name, _) in out.items()} == names
-    got = {v: score for v, (_, score) in out.items()}
+        return pregel(vertices, edges, recorded, **kwargs)
+
+    monkeypatch.setattr(pagerank_module, "pregel", kept)
+    rows = _power_iteration(g, [(None, 0.85, False), ([5], 0.3, True)], 60, 1e-10).collect()
+    assert pids == [os.getpid()]
+    assert {r["id"]: r["name"] for r in rows} == names
+    got = {r["id"]: r["score_0"] for r in rows}
     want = pagerank_ref(RANDOM_A, alpha=0.85)
     assert max(abs(got[v] - want[v]) for v in want) < 2e-5

@@ -338,8 +338,8 @@ def test_cyclerank_task_spark_jobs(spark, tmp_path, count_jobs):
 
 def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
     """A PageRank task on a stored dataset, within a bound of one job per
-    superstep plus four: the checkpoint and the sorted limit (27 jobs when
-    a superstep was an exchange plus the checkpoint)."""
+    superstep plus four: the collect of the graph and the sorted limit (27
+    jobs when a superstep was an exchange plus a checkpoint)."""
     store = Datastore(str(tmp_path / "pr"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     sched = Scheduler(spark, store, top_k_size=3)
@@ -349,9 +349,9 @@ def test_pagerank_task_spark_jobs(spark, tmp_path, count_jobs):
 
 
 def test_pagerank_task_is_three_spark_jobs(spark, tmp_path, count_jobs):
-    """Every superstep runs in the one task of the power iteration's
-    checkpoint, and the vertex count is observed in it: 1 job, plus the
-    sorted limit (14 jobs when each superstep was a job)."""
+    """Every superstep runs on the driver after the power iteration's one
+    collect of the graph, which also gives the vertex count: 1 job, plus
+    the sorted limit (14 jobs when each superstep was a job)."""
     store = Datastore(str(tmp_path / "pr3"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     sched = Scheduler(spark, store, top_k_size=3)
@@ -377,8 +377,8 @@ TASK_PARAMS = {
 def test_every_task_is_at_most_two_spark_jobs(spark, tmp_path, count_jobs,
                                               algorithm, params):
     """Every algorithm's task on a stored dataset is one job for the
-    algorithm (the power iteration's checkpoint, or CycleRank's edge
-    collect) and one for the named top-k (3 for a power iteration and
+    algorithm (the power iteration's or CycleRank's collect of the
+    graph) and one for the named top-k (3 for a power iteration and
     5 to 7 for CycleRank when top-k looked its names up, and CycleRank
     scanned the edges once per BFS level)."""
     assert set(TASK_PARAMS) == set(ALGORITHMS)
@@ -409,10 +409,23 @@ def test_cyclerank_non_integer_ref_fails_cleanly(spark, tmp_path, count_jobs, ba
     assert not gw.datastore.has_result(tids[0])
 
 
+def test_non_integer_max_iter_fails_before_spark(spark, tmp_path, count_jobs):
+    """A ``max_iter`` that is not an integer ends the task FAILED with the
+    TypeError, before any Spark job, and no result is stored."""
+    store = Datastore(str(tmp_path / "bad-max-iter"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", "pagerank", max_iter=2.5))
+    assert count_jobs(lambda: sched.run(tid)) == 0
+    poll = Status(store).poll(tid)
+    assert poll["state"] == "failed"
+    assert poll["error"].startswith("TypeError: ")
+    assert not store.has_result(tid)
+
+
 def test_unknown_ref_fails_on_the_driver(spark, tmp_path):
-    """An unknown reference is counted in the power iteration's task and
-    raised on the driver: the FAILED message is the KeyError, not a
-    Python-worker traceback."""
+    """An unknown reference is counted and raised on the driver: the
+    FAILED message is the KeyError, not a Python-worker traceback."""
     gw = ApiGateway(spark, str(tmp_path / "unknown-ref"), top_k_size=3)
     gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     (tid,) = gw.submit_query_set(

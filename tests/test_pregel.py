@@ -1,4 +1,4 @@
-"""Tests for the one-task pregel engine and bounded BFS."""
+"""Tests for the one-job pregel engine and bounded BFS."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -24,7 +24,7 @@ def _values(res):
 def _rotate(init: dict[int, float]):
     """A program that starts from ``init`` and in which every vertex sends
     its value along each out-edge and becomes the sum of its messages (0
-    where none). Nested, so the worker need not import this module."""
+    where none)."""
 
     def program(ids, seed, out_degree):
         return np.array([init[i] for i in ids]), (lambda x: x), (lambda x, msg: msg)
@@ -144,8 +144,8 @@ def test_caller_partitioning_does_not_change_values(spark, count_jobs):
 
 
 def test_whole_run_is_one_spark_job(spark, count_jobs):
-    """Every superstep runs in the one task of the checkpoint's job: 1
-    and 30 supersteps start the same single job."""
+    """Every superstep runs on the driver after the one collect of the
+    graph: 1 and 30 supersteps start the same single job."""
     init = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     for max_iter in (1, 30):
         res = []
@@ -169,12 +169,17 @@ def test_lanes_follow_their_direction_and_seeds(spark):
     assert [lane.missing for lane in res.lanes] == [0, 1]
 
 
-@pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}])
+@pytest.mark.parametrize(
+    "kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}, {"max_iter": 2.5}]
+)
 def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
+    """A bad value raises before any job; a non-integer ``max_iter`` is a
+    ``TypeError``, not a failure inside the superstep loop."""
     vertices, edges = _vertices(spark, [0]), _edges(spark, [(0, 0)])
+    error = ValueError if isinstance(kw.get("max_iter", 1), int) else TypeError
 
     def run():
-        with pytest.raises(ValueError, match=next(iter(kw))):
+        with pytest.raises(error, match=next(iter(kw))):
             pregel(vertices, edges, _rotate({0: 1.0}), **kw)
 
     assert count_jobs(run) == 0
