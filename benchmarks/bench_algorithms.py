@@ -29,15 +29,15 @@ def wiki_edges(wiki):
     return [(r["src"], r["dst"]) for r in wiki.graph.edges.collect()]
 
 
-def _assert_matches_reference(rows, want, tol=1e-6):
-    got = {r["id"]: r["score"] for r in rows}
+def _assert_matches_reference(scores, want, tol=1e-6):
+    got = dict(zip(scores["id"], scores["score"]))
     assert set(got) == set(want)
     assert max(abs(got[v] - want[v]) for v in want) < tol
 
 
 def test_bench_pagerank(benchmark, wiki, wiki_edges):
     out = benchmark.pedantic(
-        lambda: pagerank(wiki.graph, alpha=0.85).collect(), rounds=1, iterations=1
+        lambda: pagerank(wiki.graph, alpha=0.85), rounds=1, iterations=1
     )
     assert len(out) == wiki.graph.num_vertices()
     _assert_matches_reference(out, pagerank_ref(wiki_edges, alpha=0.85))
@@ -46,7 +46,7 @@ def test_bench_pagerank(benchmark, wiki, wiki_edges):
 def test_bench_ppr(benchmark, wiki, wiki_edges):
     ref = wiki.id_of("Freddie Mercury")
     out = benchmark.pedantic(
-        lambda: personalized_pagerank(wiki.graph, ref, alpha=0.3).collect(),
+        lambda: personalized_pagerank(wiki.graph, ref, alpha=0.3),
         rounds=1,
         iterations=1,
     )
@@ -58,7 +58,7 @@ def test_bench_ppr(benchmark, wiki, wiki_edges):
 def test_bench_cyclerank(benchmark, wiki, wiki_edges, k):
     ref = wiki.id_of("Freddie Mercury")
     out = benchmark.pedantic(
-        lambda: cyclerank(wiki.graph, ref, k=k).collect(), rounds=1, iterations=1
+        lambda: cyclerank(wiki.graph, ref, k=k), rounds=1, iterations=1
     )
     assert len(out) == wiki.graph.num_vertices()
     _assert_matches_reference(out, cyclerank_ref(wiki_edges, ref, k), tol=1e-9)

@@ -20,7 +20,7 @@ import operator
 from typing import Iterable, Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame
+import pandas as pd
 
 from repro.graph.graph import DiGraph
 from repro.pregel.engine import pregel
@@ -34,7 +34,7 @@ Lane = tuple[int | Iterable[int] | None, float, bool]
 
 def _power_iteration(
     g: DiGraph, lanes: Sequence[Lane], max_iter: int, tol: float
-) -> DataFrame:
+) -> pd.DataFrame:
     """Run PR/PPR power iterations, one per lane, as one pregel run.
 
     Each superstep computes, per lane, ``x' = (1 − α + α·d)·t + α·A·x``,
@@ -50,8 +50,8 @@ def _power_iteration(
         max_iter, tol: convergence controls (L1), applied to each lane.
 
     Returns:
-        ``(id, name, score_0, …, score_{L−1})``; each score column sums
-        to 1.
+        pandas ``(id, name, score_0, …, score_{L−1})``; each score column
+        sums to 1.
 
     Raises:
         ValueError: an α outside [0, 1] or an empty reference set (before
@@ -92,17 +92,17 @@ def _power_iteration(
             raise ValueError("graph has no vertices")
         if lane.missing:
             raise KeyError(f"{lane.missing} reference id(s) not present in the graph")
-    return res.state.toDF("id", "name", *(f"score_{i}" for i in range(len(specs))))
+    return res.state.rename(columns=lambda c: c.replace("value_", "score_"))
 
 
-def _one_lane(g: DiGraph, lane: Lane, max_iter: int, tol: float) -> DataFrame:
+def _one_lane(g: DiGraph, lane: Lane, max_iter: int, tol: float) -> pd.DataFrame:
     """A single power iteration as ``(id, name, score)``."""
-    return _power_iteration(g, [lane], max_iter, tol).toDF("id", "name", "score")
+    return _power_iteration(g, [lane], max_iter, tol).rename(columns={"score_0": "score"})
 
 
 def pagerank(
     g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
-) -> DataFrame:
+) -> pd.DataFrame:
     """Classic PageRank.
 
     Args:
@@ -112,13 +112,13 @@ def pagerank(
         tol: L1 convergence threshold.
 
     Returns:
-        DataFrame ``(id, name, score)``; scores sum to 1.
+        pandas ``(id, name, score)``; scores sum to 1.
     """
     return _one_lane(g, (None, alpha, False), max_iter, tol)
 
 
 def cheirank(
     g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
-) -> DataFrame:
+) -> pd.DataFrame:
     """CheiRank: PageRank on the transposed graph (out-link based)."""
     return _one_lane(g, (None, alpha, True), max_iter, tol)

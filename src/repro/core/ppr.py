@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from pyspark.sql import DataFrame
+import pandas as pd
 
 from repro.core.pagerank import _one_lane
 from repro.graph.graph import DiGraph
@@ -24,7 +24,7 @@ def personalized_pagerank(
     alpha: float = 0.85,
     max_iter: int = 50,
     tol: float = 1e-8,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Personalized PageRank around one or more reference nodes.
 
     Args:
@@ -35,7 +35,7 @@ def personalized_pagerank(
         max_iter, tol: convergence controls.
 
     Returns:
-        DataFrame ``(id, name, score)``; scores sum to 1 and the reference
+        pandas ``(id, name, score)``; scores sum to 1 and the reference
         set typically dominates.
     """
     return _one_lane(g, (refs, alpha, False), max_iter, tol)
@@ -48,6 +48,6 @@ def personalized_cheirank(
     alpha: float = 0.85,
     max_iter: int = 50,
     tol: float = 1e-8,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Personalized CheiRank: PPR on the transposed graph."""
     return _one_lane(g, (refs, alpha, True), max_iter, tol)

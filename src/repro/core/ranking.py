@@ -3,46 +3,40 @@ experiment harnesses.
 
 Ties are always broken by ascending vertex id so every ranking in the
 reproduction is deterministic (the paper's tables are single fixed
-orderings).
+orderings). Every algorithm returns its scores as a pandas frame on the
+driver, so ranking is a pandas sort and starts no Spark job.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
-from pyspark.sql import functions as F
 
 
-def rank_by(column: str, *, ascending: bool = False) -> Column:
-    """The 1-based rank of each row by ``column``: largest first (smallest
-    if ``ascending``), ties broken by ascending ``id``."""
-    order = F.col(column).asc() if ascending else F.col(column).desc()
-    return F.row_number().over(Window.orderBy(order, F.col("id").asc()))
+def rank_by(scores: pd.DataFrame, column: str, *, ascending: bool = False) -> pd.DataFrame:
+    """``scores`` in rank order by ``column``, largest first (smallest if
+    ``ascending``), ties broken by ascending ``id``, with the 1-based
+    ``rank`` of each row as a last column."""
+    ranked = scores.sort_values([column, "id"], ascending=[ascending, True], ignore_index=True)
+    return ranked.assign(rank=np.arange(1, len(ranked) + 1))
 
 
-def top_k(scores: DataFrame, k: int) -> pd.DataFrame:
+def top_k(scores: pd.DataFrame, k: int) -> pd.DataFrame:
     """The ``k`` best vertices by score, named and ranked.
 
     ``scores`` carries each vertex's name, as every algorithm's output
-    does, so one sorted ``limit`` (score descending, id tie-break) brings
-    the rows to the driver, where they are numbered ``rank = 1..n``: one
-    Spark job. This is the only top-k in the product: the scheduler stores
-    it and the table harnesses read their columns from it.
+    does, so this is one pandas sort (score descending, id tie-break) on
+    the driver, numbered ``rank = 1..n``; it starts no Spark job. This is
+    the only top-k in the product: the scheduler stores it and the table
+    harnesses read their columns from it.
 
     Args:
-        scores: ``(id, name, score)``.
+        scores: pandas ``(id, name, score)``.
         k: how many rows to keep.
 
     Returns:
         pandas ``(id, score, rank, name)`` in rank order.
     """
-    top = (
-        scores.select("id", "score", "name")
-        .orderBy(F.col("score").desc(), F.col("id").asc())
-        .limit(k)
-        .toPandas()
-    )
-    top.insert(2, "rank", range(1, len(top) + 1))
-    return top
+    return rank_by(scores, "score").head(k)[["id", "score", "rank", "name"]]
 
 
 def contamination(topk: list, contaminants: set) -> float:

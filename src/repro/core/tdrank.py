@@ -20,42 +20,39 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
 from repro.core.pagerank import _power_iteration
 from repro.core.ranking import rank_by
 from repro.graph.graph import DiGraph
 
 
-def combine_ranks(scores: DataFrame) -> DataFrame:
+def combine_ranks(scores: pd.DataFrame) -> pd.DataFrame:
     """Merge PageRank ranks K and CheiRank ranks K* into the 2DRank order.
 
-    Both ranks are windows over the one frame that holds both scores, so
-    no join is planned.
-
     Args:
-        scores: ``(id, name, score_0, score_1)``: the PageRank-side and
-            the CheiRank-side score of each vertex.
+        scores: pandas ``(id, name, score_0, score_1)``: the
+            PageRank-side and the CheiRank-side score of each vertex.
 
     Returns:
-        ``(id, name, rank)`` — the 2DRank position (1 = best).
+        pandas ``(id, name, rank)`` — the 2DRank position (1 = best), in
+        rank order.
     """
-    ranked = scores.select(
-        "id", "name", rank_by("score_0").alias("k"), rank_by("score_1").alias("kstar")
-    )
-    shell = F.greatest("k", "kstar")
+    ranked = rank_by(scores, "score_0").rename(columns={"rank": "k"})
+    ranked = rank_by(ranked, "score_1").rename(columns={"rank": "kstar"})
+    k, kstar = ranked["k"], ranked["kstar"]
     # vertical side (K == shell, K* < shell) first, ordered by K*;
     # then horizontal side (K* == shell) ordered by K — corner lands last.
-    side = F.when(F.col("kstar") < F.col("k"), F.lit(0)).otherwise(F.lit(1))
-    offset = F.when(F.col("kstar") < F.col("k"), F.col("kstar")).otherwise(F.col("k"))
-    w = Window.orderBy(shell.asc(), side.asc(), offset.asc(), F.col("id").asc())
-    return ranked.select("id", "name", F.row_number().over(w).alias("rank"))
+    swept = ranked.assign(
+        shell=np.maximum(k, kstar), side=kstar >= k, offset=np.minimum(k, kstar)
+    ).sort_values(["shell", "side", "offset", "id"], ignore_index=True)
+    return swept[["id", "name"]].assign(rank=np.arange(1, len(swept) + 1))
 
 
 def twodrank(
     g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
-) -> DataFrame:
+) -> pd.DataFrame:
     """Global 2DRank: square sweep over PageRank × CheiRank ranks, whose
     two power iterations run as two lanes of one pregel run."""
     lanes = [(None, alpha, False), (None, alpha, True)]
@@ -69,7 +66,7 @@ def personalized_twodrank(
     alpha: float = 0.85,
     max_iter: int = 50,
     tol: float = 1e-8,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Personalized 2DRank: square sweep over PPR × personalized-CheiRank
     ranks (the demo's 'personalized variant' of 2DRank), run as two lanes
     of one pregel run."""

@@ -118,14 +118,18 @@ def _pajek_ids(fields: list[str], n: int | None, *, count: int = 1) -> list[int]
 
 
 def read_asd(spark: SparkSession, path: str) -> DiGraph:
-    """Read an ASD file: header ``N M`` then M 0-indexed ``src dst`` lines."""
+    """Read an ASD file: header ``N M`` then M 0-indexed ``src dst`` lines.
+
+    The first two fields of an arc line are its ``src`` and ``dst``;
+    fields after them (a weight, say) are ignored.
+    """
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 2:
             raise ValueError(f"ASD header must be 'N M', got {head!r}")
         n, m = int(head[0]), int(head[1])
         pdf = pd.read_csv(
-            fh, sep=r"\s+", names=["src", "dst"], dtype="int64", header=None
+            fh, sep=r"\s+", names=["src", "dst"], usecols=[0, 1], dtype="int64", header=None
         )
     if len(pdf) != m:
         raise ValueError(f"ASD header declared {m} edges, file has {len(pdf)}")

@@ -2,9 +2,9 @@
 
 A :class:`DiGraph` pairs a vertex DataFrame ``(id: long, name: string)``
 with an edge DataFrame ``(src: long, dst: long)``. All algorithms in
-``repro.core`` take these two frames and return a DataFrame that carries
-each vertex's ``id`` and ``name`` with its score or rank; none uses the
-RDD API.
+``repro.core`` take a graph and return a pandas frame that carries each
+vertex's ``id`` and ``name`` with its score or rank; none uses the RDD
+API.
 
 Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
 dedups the edges and derives the vertex set in pandas, so a generated or
@@ -13,12 +13,12 @@ from the driver, and the first action on it runs no dedup or join to
 construct it.
 
 On graphs of this size a Spark job costs far more than the work on the
-graph, so the algorithms read a graph with one collect and compute on
-the driver. The Pregel engine collects the vertices and edges once and
-runs every superstep of a power iteration there, in NumPy. CycleRank is
-local by design: it collects the edges to the driver once, and its BFS
-and cycle search run there, in plain Python, over the small ball it
-prunes to.
+graph, so an algorithm reads its graph with :func:`collect_graph`, one
+Spark job, and computes on the driver: the Pregel engine runs every
+superstep of a power iteration there, in NumPy, and CycleRank's BFS and
+cycle search run there, in plain Python, over the small ball it prunes
+to. That read is the only Spark job of a task; scores never return to
+Spark.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 VERTEX_SCHEMA = StructType(
@@ -103,3 +104,18 @@ class DiGraph:
     def num_edges(self) -> int:
         """Number of distinct directed edges."""
         return self.edges.count()
+
+
+def collect_graph(vertices: DataFrame, edges: DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The vertex frame ``(id, name)`` and edge frame ``(src, dst)`` as
+    pandas frames with int64 ids, read in one Spark job: their union,
+    collected with one ``toPandas`` over Arrow."""
+    rows = vertices.select(
+        "id", F.col("id").alias("dst"), F.lit(False).alias("edge"), "name"
+    ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge"),
+                               F.lit(None).cast("string").alias("name")))
+    batch = rows.coalesce(1).toPandas()
+    is_edge = batch["edge"].to_numpy(bool)
+    v = batch.loc[~is_edge, ["id", "name"]].astype({"id": "int64"})
+    e = batch.loc[is_edge, ["id", "dst"]].astype("int64").set_axis(EDGE_SCHEMA.names, axis=1)
+    return v.reset_index(drop=True), e.reset_index(drop=True)

@@ -1,9 +1,10 @@
 """DuckDB correctness oracle.
 
 ``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``result`` (a Spark
-or pandas DataFrame). This catches wrong results from a rewritten plan
-or a custom operator — "it ran" is not "it is correct".
+over ``tables`` and asserts the sorted rows match ``result`` (a pandas
+frame, as every algorithm returns, or a Spark DataFrame). This catches
+wrong results from a rewritten plan or a custom operator — "it ran" is
+not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically

@@ -2,15 +2,15 @@
 
 Holds the registry of the demo's seven algorithms. Each entry maps the
 algorithm name (as used in tasks) to a callable
-``(DiGraph, **params) -> DataFrame`` returning per-vertex ``(id, name,
-score)``: the vertex's id and name from the graph's vertex frame, and
-its score. The name travels with the score so that
-:func:`~repro.core.ranking.top_k` needs no lookup of its own. For the
-2DRank pair, which "does not assign a score to each node, but just
-produces a ranking" (Section II), the rank is exposed as a descending
-pseudo-score ``-rank`` so every algorithm is top-k-able through the
-same interface. A callable's signature names the
-parameters it accepts: the wrappers below report their core function's
+``(DiGraph, **params) -> pd.DataFrame`` returning per-vertex pandas
+``(id, name, score)``: the vertex's id and name from the graph's vertex
+frame, and its score. The graph read is a task's only Spark job: the
+scores stay on the driver with their names, so
+:func:`~repro.core.ranking.top_k` is a pandas sort. For the 2DRank pair,
+which "does not assign a score to each node, but just produces a
+ranking" (Section II), the rank is exposed as a descending pseudo-score
+``-rank`` so every algorithm is top-k-able through the same interface.
+A callable's signature names the parameters it accepts: the wrappers below report their core function's
 (``functools.wraps``) or declare them, never a bare ``**kw``, so a task
 can be checked against it before any dataset is fetched.
 
@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
 
 from repro.core.cyclerank import cyclerank
 from repro.core.pagerank import cheirank, pagerank
@@ -31,24 +30,24 @@ from repro.core.ppr import personalized_cheirank, personalized_pagerank
 from repro.core.tdrank import personalized_twodrank, twodrank
 from repro.graph.graph import DiGraph
 
-AlgorithmFn = Callable[..., DataFrame]
+AlgorithmFn = Callable[..., pd.DataFrame]
 
 
-def _rank_to_score(ranked: DataFrame) -> DataFrame:
-    return ranked.select("id", "name", (-F.col("rank")).cast("double").alias("score"))
+def _rank_to_score(ranked: pd.DataFrame) -> pd.DataFrame:
+    return ranked[["id", "name"]].assign(score=-ranked["rank"].astype("float64"))
 
 
 @functools.wraps(twodrank)
-def _run_twodrank(g: DiGraph, **kw) -> DataFrame:
+def _run_twodrank(g: DiGraph, **kw) -> pd.DataFrame:
     return _rank_to_score(twodrank(g, **kw))
 
 
 @functools.wraps(personalized_twodrank)
-def _run_personalized_twodrank(g: DiGraph, refs, **kw) -> DataFrame:
+def _run_personalized_twodrank(g: DiGraph, refs, **kw) -> pd.DataFrame:
     return _rank_to_score(personalized_twodrank(g, refs, **kw))
 
 
-def _run_cyclerank(g: DiGraph, refs, *, k: int = 3, sigma="exp") -> DataFrame:
+def _run_cyclerank(g: DiGraph, refs, *, k: int = 3, sigma="exp") -> pd.DataFrame:
     if not isinstance(refs, int):
         if len(refs) != 1:
             raise ValueError(
@@ -59,12 +58,12 @@ def _run_cyclerank(g: DiGraph, refs, *, k: int = 3, sigma="exp") -> DataFrame:
 
 
 @functools.wraps(personalized_pagerank)
-def _run_ppr(g: DiGraph, refs, **kw) -> DataFrame:
+def _run_ppr(g: DiGraph, refs, **kw) -> pd.DataFrame:
     return personalized_pagerank(g, refs, **kw)
 
 
 @functools.wraps(personalized_cheirank)
-def _run_pcheirank(g: DiGraph, refs, **kw) -> DataFrame:
+def _run_pcheirank(g: DiGraph, refs, **kw) -> pd.DataFrame:
     return personalized_cheirank(g, refs, **kw)
 
 
@@ -107,8 +106,8 @@ class Executor:
                 f"unknown algorithm {name!r}; know {self.algorithms()}"
             ) from None
 
-    def run(self, g: DiGraph, algorithm: str, **params) -> DataFrame:
-        """Execute ``algorithm`` on ``g``; returns ``(id, name, score)``.
+    def run(self, g: DiGraph, algorithm: str, **params) -> pd.DataFrame:
+        """Execute ``algorithm`` on ``g``; returns pandas ``(id, name, score)``.
 
         Raises:
             KeyError: unknown algorithm.

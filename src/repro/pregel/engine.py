@@ -4,14 +4,13 @@ GraphX is JVM-only and unavailable from PySpark without external
 packages, so this module reimplements the superstep model of Pregel
 (Malewicz et al., SIGMOD 2010) for graphs that fit on one machine:
 
-* **One collect, then the driver.** The vertex rows and the edges are
-  unioned and collected with one ``toPandas`` (one Spark job, over
-  Arrow), and every superstep runs on the driver, in NumPy. On graphs of
-  this size a Spark job costs far more than the arithmetic of a
-  superstep (McSherry et al., "Scalability! But at what COST?", HotOS
-  2015), so the engine pays for that one job and iterates where the data
-  already is. The final state goes back to Spark as a frame built from
-  the driver's, which starts no job.
+* **One collect, then the driver.** The graph is read with
+  :func:`~repro.graph.graph.collect_graph` (one Spark job, over Arrow),
+  and every superstep runs on the driver, in NumPy. On graphs of this
+  size a Spark job costs far more than the arithmetic of a superstep
+  (McSherry et al., "Scalability! But at what COST?", HotOS 2015), so
+  the engine pays for that one job and iterates where the data already
+  is. The final state stays there, as a pandas frame.
 * **Arrays, not rows.** The vertex ids are sorted and the edges become
   two index arrays. A vertex program sends one message per vertex along
   each of its out-edges, and ``np.bincount`` over the edge indices sums
@@ -40,7 +39,8 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from repro.graph.graph import collect_graph
 
 #: ``program(ids, seed, out_degree) -> (x0, send, update)``: given the
 #: sorted vertex ids, each lane's seed mask and each lane's out-degrees
@@ -73,13 +73,13 @@ class PregelResult:
     """Outcome of a pregel run.
 
     Attributes:
-        state: final values, ``(id, name, value_0, …, value_{L−1})``,
-            one column per lane; one partition.
+        state: pandas ``(id, name, value_0, …, value_{L−1})``, one
+            value column per lane, in ascending id order.
         num_vertices: number of vertices.
         lanes: one :class:`LaneResult` per lane, in order.
     """
 
-    state: DataFrame
+    state: pd.DataFrame
     num_vertices: int
     lanes: tuple[LaneResult, ...]
 
@@ -147,19 +147,11 @@ def pregel(
              for s, _ in lanes]
     transposed = [bool(t) for _, t in lanes]
     count = len(lanes)
-    values = [f"value_{i}" for i in range(count)]
-
-    rows = vertices.select(
-        "id", F.col("id").alias("dst"), F.lit(False).alias("edge"), "name"
-    ).unionByName(edges.select(F.col("src").alias("id"), "dst", F.lit(True).alias("edge"),
-                               F.lit(None).cast("string").alias("name")))
-    batch = rows.coalesce(1).toPandas()
-    key, dst = batch["id"].to_numpy(np.int64), batch["dst"].to_numpy(np.int64)
-    is_edge = batch["edge"].to_numpy(bool)
-    ids, first = np.unique(key[~is_edge], return_index=True)
-    label = batch["name"].to_numpy(object)[~is_edge][first]
+    v, e = collect_graph(vertices, edges)
+    ids, first = np.unique(v["id"].to_numpy(), return_index=True)
+    label = v["name"].to_numpy(object)[first]
     n = ids.size
-    src, dst = key[is_edge], dst[is_edge]
+    src, dst = e["src"].to_numpy(), e["dst"].to_numpy()
     keep = np.isin(src, ids) & np.isin(dst, ids)
     s, d = np.searchsorted(ids, src[keep]), np.searchsorted(ids, dst[keep])
     seed = np.array([np.ones(n, bool) if r is None else np.isin(ids, r) for r in seeds])
@@ -186,12 +178,9 @@ def pregel(
         if not active.any():
             break
 
-    state = pd.DataFrame({"id": ids, "name": label, **dict(zip(values, x))})
-    schema = ", ".join(["id long", "name string", *(f"{c} double" for c in values)])
+    values = {f"value_{i}": x[i] for i in range(count)}
     return PregelResult(
-        # Built from the driver's frame, so no job; ``coalesce(1)`` keeps it
-        # one partition, which a window or top-k over the state can see.
-        state=vertices.sparkSession.createDataFrame(state, schema).coalesce(1),
+        state=pd.DataFrame({"id": ids, "name": label, **values}),
         num_vertices=n,
         lanes=tuple(
             LaneResult(int(iterations[i]), float(delta[i]), bool(delta[i] <= tol), missing[i])

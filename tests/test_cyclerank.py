@@ -25,7 +25,7 @@ PETAL_NODE = {2: 1, 3: 2, 5: 4}
 
 
 def _scores(df) -> dict[int, float]:
-    return {r["id"]: r["score"] for r in df.collect()}
+    return {r["id"]: r["score"] for r in df.to_dict("records")}
 
 
 def _counts(pdf) -> dict[tuple[int, int], int]:
@@ -105,8 +105,8 @@ def test_all_vertices_present_in_output(spark, bowtie_k3):
 def test_scores_carry_vertex_names(spark):
     g = DiGraph.from_edges(spark, BOWTIE, names={0: "zero"})
     out = cyclerank(g, 0, k=3)
-    assert out.columns == ["id", "name", "score"]
-    assert {r["id"]: r["name"] for r in out.collect()} == {
+    assert list(out.columns) == ["id", "name", "score"]
+    assert {r["id"]: r["name"] for r in out.to_dict("records")} == {
         0: "zero", **{v: f"node_{v}" for v in range(1, 5)}}
 
 
@@ -197,7 +197,7 @@ def test_prune_preserves_scores(spark):
     """The ball around ref 5 leaves vertices out, and the scores still
     equal the DFS reference over the whole edge list."""
     g = DiGraph.from_edges(spark, RANDOM_C)
-    ball, _ = prune_to_k_ball(g, 5, 3)
+    _, ball, _ = prune_to_k_ball(g, 5, 3)
     assert ball < {v for e in RANDOM_C for v in e}
     got = _scores(cyclerank(g, 5, k=3))
     assert got == pytest.approx(cyclerank_ref(RANDOM_C, 5, 3))
@@ -205,7 +205,7 @@ def test_prune_preserves_scores(spark):
 
 def test_prune_ball_contains_all_cycle_nodes(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
-    ids, _ = prune_to_k_ball(g, 0, 3)
+    _, ids, _ = prune_to_k_ball(g, 0, 3)
     # nodes 0,1,2,3 are on cycles through 0 (len <= 3); 4 is not
     assert {0, 1, 2, 3} <= ids
     assert 4 not in ids
@@ -214,7 +214,7 @@ def test_prune_ball_contains_all_cycle_nodes(spark):
 def test_prune_far_tail_cut(spark):
     """A long tail hanging off a 2-cycle is outside the 1-ball."""
     g = DiGraph.from_edges(spark, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
-    ids, edges = prune_to_k_ball(g, 0, 2)
+    _, ids, edges = prune_to_k_ball(g, 0, 2)
     assert ids == {0, 1}
     assert set(zip(edges["src"], edges["dst"])) == {(0, 1), (1, 0)}
 
@@ -222,7 +222,7 @@ def test_prune_far_tail_cut(spark):
 def test_prune_ball_keeps_a_vertex_without_induced_edge(spark):
     """At K=2 the ball around 0 on a 3-cycle is 0 alone (1 is one hop
     forward, 2 one hop back): an id with no induced edge."""
-    ids, edges = prune_to_k_ball(DiGraph.from_edges(spark, CYCLE3), 0, 2)
+    _, ids, edges = prune_to_k_ball(DiGraph.from_edges(spark, CYCLE3), 0, 2)
     assert ids == {0}
     assert edges.empty
 
@@ -232,7 +232,8 @@ def test_prune_ball_keeps_a_vertex_without_induced_edge(spark):
 
 def test_cycle_counts_bowtie(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
-    got = _counts(cycle_counts(g, 0, 3))
+    _, counts = cycle_counts(g, 0, 3)
+    got = _counts(counts)
     assert got == {
         (0, 2): 2, (1, 2): 1, (2, 2): 1,
         (0, 3): 3, (1, 3): 2, (2, 3): 3, (3, 3): 1,
@@ -241,7 +242,8 @@ def test_cycle_counts_bowtie(spark):
 
 def test_cycle_counts_exclude_longer(spark):
     g = DiGraph.from_edges(spark, COMPLETE4)
-    got = _counts(cycle_counts(g, 0, 2))
+    _, counts = cycle_counts(g, 0, 2)
+    got = _counts(counts)
     assert got == {(0, 2): 3, (1, 2): 1, (2, 2): 1, (3, 2): 1}
 
 
@@ -277,4 +279,4 @@ def test_ref_outside_long_range_raises_key_error(spark):
 
 def test_spark_jobs_bounded(spark, count_jobs):
     g = DiGraph.from_edges(spark, RANDOM_C)
-    assert count_jobs(lambda: cyclerank(g, 2, k=5).collect()) <= 50
+    assert count_jobs(lambda: cyclerank(g, 2, k=5)) <= 50

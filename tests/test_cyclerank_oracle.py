@@ -1,8 +1,8 @@
 """CycleRank cycle counts vs a DuckDB recursive-CTE oracle.
 
 The implementation prunes the graph to the (K−1)-ball around the
-reference with a two-way BFS (driver-side frontiers, one edge scan per
-level) and counts the cycles by a DFS on the driver; DuckDB enumerates the same cycles over the *whole* graph
+reference with a two-way BFS over the edges read to the driver and
+counts the cycles by a DFS there; DuckDB enumerates the same cycles over the *whole* graph
 with a ``WITH RECURSIVE`` walk carrying the visited list, so the
 pruning is checked as well. ``assert_equivalent``
 diffs the full per-(node, length) count tables, so a missed path, a
@@ -64,14 +64,14 @@ def _cycle_sql(ref: int, k: int) -> str:
 )
 def test_cycle_counts_match_duckdb(spark, edges, ref, k):
     g = DiGraph.from_edges(spark, edges)
-    got = cycle_counts(g, ref, k)
+    _, got = cycle_counts(g, ref, k)
     assert_equivalent(got, _cycle_sql(ref, k), edges=g.edges.toPandas())
 
 
 def test_cycle_counts_match_duckdb_with_pruning(spark):
     """Ref 5 at K=3: the pruned ball leaves vertices out."""
     g = DiGraph.from_edges(spark, RANDOM_C)
-    ball, _ = prune_to_k_ball(g, 5, 3)
+    _, ball, _ = prune_to_k_ball(g, 5, 3)
     assert ball < {v for e in RANDOM_C for v in e}
-    got = cycle_counts(g, 5, 3)
+    _, got = cycle_counts(g, 5, 3)
     assert_equivalent(got, _cycle_sql(5, 3), edges=g.edges.toPandas())

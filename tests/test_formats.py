@@ -142,6 +142,15 @@ def test_asd_roundtrip(spark, tmp_path):
     assert edge_set(read_asd(spark, str(p))) == set(BOWTIE)
 
 
+@pytest.mark.parametrize("weights", [(7, 9), (1, 2)], ids=["weights", "weights-are-ids"])
+def test_asd_ignores_fields_after_the_endpoints(spark, tmp_path, weights):
+    """A third field on an arc line (a weight, say) is not an endpoint:
+    weights that are vertex ids do not become edges either."""
+    p = tmp_path / "w.asd"
+    p.write_text("3 2\n0 1 {}\n1 2 {}\n".format(*weights))
+    assert edge_set(read_asd(spark, str(p))) == {(0, 1), (1, 2)}
+
+
 def test_asd_bad_header_raises(spark, tmp_path):
     p = tmp_path / "bad.asd"
     p.write_text("3\n0 1\n")

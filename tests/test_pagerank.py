@@ -47,7 +47,7 @@ def pr_results(spark):
         g = DiGraph.from_edges(spark, edges)
         got = {
             r["id"]: r["score"]
-            for r in pagerank(g, alpha=alpha, max_iter=60, tol=1e-10).collect()
+            for r in pagerank(g, alpha=alpha, max_iter=60, tol=1e-10).to_dict("records")
         }
         out[name] = (got, pagerank_ref(edges, alpha=alpha))
     return out
@@ -104,7 +104,7 @@ def test_ranking_matches_reference_order(pr_results):
 
 def test_alpha_zero_uniform(spark):
     g = DiGraph.from_edges(spark, STAR_IN)
-    got = {r["id"]: r["score"] for r in pagerank(g, alpha=0.0, max_iter=5).collect()}
+    got = {r["id"]: r["score"] for r in pagerank(g, alpha=0.0, max_iter=5).to_dict("records")}
     for v in got.values():
         assert v == pytest.approx(0.2, abs=1e-9)
 
@@ -134,7 +134,7 @@ def cheir_results(spark):
     g = DiGraph.from_edges(spark, RANDOM_A)
     got = {
         r["id"]: r["score"]
-        for r in cheirank(g, max_iter=60, tol=1e-10).collect()
+        for r in cheirank(g, max_iter=60, tol=1e-10).to_dict("records")
     }
     return got, cheirank_ref(RANDOM_A)
 
@@ -152,12 +152,12 @@ def test_cheirank_sums_to_one(cheir_results):
 
 def test_cheirank_is_pagerank_on_transpose(spark):
     g = DiGraph.from_edges(spark, STAR_IN)
-    a = {r["id"]: r["score"] for r in cheirank(g, max_iter=40).collect()}
+    a = {r["id"]: r["score"] for r in cheirank(g, max_iter=40).to_dict("records")}
     b = {
         r["id"]: r["score"]
         for r in pagerank(
             DiGraph.from_edges(spark, [(d, s) for s, d in STAR_IN]), max_iter=40
-        ).collect()
+        ).to_dict("records")
     }
     for v in a:
         assert a[v] == pytest.approx(b[v], abs=1e-9)
@@ -180,14 +180,13 @@ def test_one_spark_job_per_superstep(spark, count_jobs):
 
 
 def test_spark_jobs_do_not_grow_with_supersteps(spark, count_jobs):
-    """Collecting PageRank after 10 or after 40 supersteps starts the same
-    jobs: the engine's collect of the graph and the collect of the scores
-    (13 and 43 when each superstep was a job)."""
+    """PageRank after 10 or after 40 supersteps starts the same one job,
+    the engine's collect of the graph; the scores come back as a pandas
+    frame (13 and 43 jobs when each superstep was a job, 2 when the
+    scores went back to Spark to be collected)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
-    ten, forty = (
-        count_jobs(lambda: pagerank(g, max_iter=m, tol=0.0).collect()) for m in (10, 40)
-    )
-    assert ten == forty == 2
+    ten, forty = (count_jobs(lambda: pagerank(g, max_iter=m, tol=0.0)) for m in (10, 40))
+    assert ten == forty == 1
 
 
 # -- lanes ----------------------------------------------------------------
@@ -208,10 +207,11 @@ def lane_runs(spark):
     pregel = pagerank_module.pregel
     pagerank_module.pregel = kept
     try:
-        rows = _power_iteration(g, lanes, 60, 1e-10).collect()
+        rows = _power_iteration(g, lanes, 60, 1e-10).to_dict("records")
         together = [{r["id"]: r[f"score_{i}"] for r in rows} for i in range(len(lanes))]
         alone = [
-            {r["id"]: r["score_0"] for r in _power_iteration(g, [lane], 60, 1e-10).collect()}
+            {r["id"]: r["score_0"]
+             for r in _power_iteration(g, [lane], 60, 1e-10).to_dict("records")}
             for lane in lanes
         ]
     finally:
@@ -250,7 +250,8 @@ def test_vertex_program_runs_on_the_driver(spark, monkeypatch):
         return pregel(vertices, edges, recorded, **kwargs)
 
     monkeypatch.setattr(pagerank_module, "pregel", kept)
-    rows = _power_iteration(g, [(None, 0.85, False), ([5], 0.3, True)], 60, 1e-10).collect()
+    lanes = [(None, 0.85, False), ([5], 0.3, True)]
+    rows = _power_iteration(g, lanes, 60, 1e-10).to_dict("records")
     assert pids == [os.getpid()]
     assert {r["id"]: r["name"] for r in rows} == names
     got = {r["id"]: r["score_0"] for r in rows}

@@ -182,7 +182,7 @@ def exec_results(spark):
             kw["refs"] = 0
         elif name == "cyclerank":
             kw = {"refs": 0, "k": 3}
-        out[name] = {r["id"]: r["score"] for r in ex.run(g, name, **kw).collect()}
+        out[name] = {r["id"]: r["score"] for r in ex.run(g, name, **kw).to_dict("records")}
     return out
 
 
@@ -206,10 +206,11 @@ def test_executor_register_custom(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
     ex = Executor()
     ex.register("indegree", lambda gr: gr.edges.groupBy(F.col("dst").alias("id")).agg(
-        F.count("*").alias("score")).join(gr.vertices, "id").select("id", "name", "score"))
+        F.count("*").alias("score")).join(gr.vertices, "id").select("id", "name", "score")
+        .toPandas())
     out = ex.run(g, "indegree")
-    assert out.columns == ["id", "name", "score"]
-    got = {r["id"]: r["score"] for r in out.collect()}
+    assert list(out.columns) == ["id", "name", "score"]
+    got = {r["id"]: r["score"] for r in out.to_dict("records")}
     assert got[0] == 3  # 1->0, 2->0, 3->0
     assert "indegree" in ex.algorithms()
 
@@ -374,19 +375,18 @@ TASK_PARAMS = {
     [*TASK_PARAMS.items(), ("cyclerank", {"refs": [0], "k": 5})],
     ids=[*TASK_PARAMS, "cyclerank-k5"],
 )
-def test_every_task_is_at_most_two_spark_jobs(spark, tmp_path, count_jobs,
-                                              algorithm, params):
-    """Every algorithm's task on a stored dataset is one job for the
-    algorithm (the power iteration's or CycleRank's collect of the
-    graph) and one for the named top-k (3 for a power iteration and
-    5 to 7 for CycleRank when top-k looked its names up, and CycleRank
-    scanned the edges once per BFS level)."""
+def test_every_task_is_one_spark_job(spark, tmp_path, count_jobs, algorithm, params):
+    """Every algorithm's task on a stored dataset is one job, the
+    algorithm's read of the graph: the scores stay on the driver as a
+    pandas frame, and top-k is a pandas sort that starts none (2 jobs
+    when the scores went back to Spark for a sorted ``limit``, 3 for a
+    power iteration and 5 to 7 for CycleRank before that)."""
     assert set(TASK_PARAMS) == set(ALGORITHMS)
     store = Datastore(str(tmp_path / "two"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
     sched = Scheduler(spark, store, top_k_size=3)
     tid = sched.submit(Task.make("bowtie", algorithm, **params))
-    assert count_jobs(lambda: sched.run(tid)) <= 2
+    assert count_jobs(lambda: sched.run(tid)) == 1
     result = Status(store).result(tid)
     assert len(result) == 3
     names = {0: "zero", **{v: f"node_{v}" for v in range(1, 5)}}
@@ -407,6 +407,22 @@ def test_cyclerank_non_integer_ref_fails_cleanly(spark, tmp_path, count_jobs, ba
     assert poll["error"].startswith("TypeError: ")
     assert not poll["has_result"]
     assert not gw.datastore.has_result(tids[0])
+
+
+@pytest.mark.parametrize("k, shown", [(2.5, "2.5"), ("3", "'3'")], ids=["float", "str"])
+def test_cyclerank_non_integer_k_fails_before_spark(spark, tmp_path, count_jobs, k, shown):
+    """A CycleRank ``k`` that is not an integer ends the task FAILED with
+    a TypeError naming it, before any Spark job, and no result is
+    stored."""
+    store = Datastore(str(tmp_path / "bad-k"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    tid = sched.submit(Task.make("bowtie", "cyclerank", refs=[0], k=k))
+    assert count_jobs(lambda: sched.run(tid)) == 0
+    poll = Status(store).poll(tid)
+    assert poll["state"] == "failed"
+    assert poll["error"] == f"TypeError: k must be an integer, got {shown}"
+    assert not store.has_result(tid)
 
 
 def test_non_integer_max_iter_fails_before_spark(spark, tmp_path, count_jobs):

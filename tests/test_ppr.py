@@ -27,7 +27,7 @@ def ppr_results(spark):
             r["id"]: r["score"]
             for r in personalized_pagerank(
                 g, refs, alpha=alpha, max_iter=60, tol=1e-10
-            ).collect()
+            ).to_dict("records")
         }
         out[name] = (got, pagerank_ref(edges, refs=refs, alpha=alpha))
     return out
@@ -77,7 +77,7 @@ def test_single_int_ref_accepted(spark):
     g = DiGraph.from_edges(spark, CYCLE3)
     got = {
         r["id"]: r["score"]
-        for r in personalized_pagerank(g, 0, alpha=0.5, max_iter=40).collect()
+        for r in personalized_pagerank(g, 0, alpha=0.5, max_iter=40).to_dict("records")
     }
     want = pagerank_ref(CYCLE3, refs=[0], alpha=0.5)
     for v in want:
@@ -112,7 +112,7 @@ def test_personalized_cheirank_matches_transposed_reference(spark):
     g = DiGraph.from_edges(spark, RANDOM_A)
     got = {
         r["id"]: r["score"]
-        for r in personalized_cheirank(g, 5, max_iter=60, tol=1e-10).collect()
+        for r in personalized_cheirank(g, 5, max_iter=60, tol=1e-10).to_dict("records")
     }
     want = pagerank_ref([(d, s) for s, d in RANDOM_A], refs=[5], alpha=0.85)
     for v in want:
@@ -123,6 +123,6 @@ def test_personalized_cheirank_sums_to_one(spark):
     g = DiGraph.from_edges(spark, BOWTIE)
     got = [
         r["score"]
-        for r in personalized_cheirank(g, 0, max_iter=40).collect()
+        for r in personalized_cheirank(g, 0, max_iter=40).to_dict("records")
     ]
     assert sum(got) == pytest.approx(1.0, abs=1e-6)

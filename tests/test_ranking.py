@@ -1,5 +1,6 @@
 """Tests for ranking helpers (rank_by, top-k, contamination) and the
 DuckDB oracle they are checked against."""
+import pandas as pd
 import pytest
 
 from repro.core.ranking import contamination, rank_by, top_k
@@ -7,37 +8,37 @@ from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def scores_df(spark):
+def scores_df():
     rows = [(0, 0.9), (1, 0.5), (2, 0.5), (3, 0.1), (4, 0.7)]
-    return spark.createDataFrame(
-        [(i, f"n{i}", score) for i, score in rows], "id long, name string, score double"
+    return pd.DataFrame(
+        [(i, f"n{i}", score) for i, score in rows], columns=["id", "name", "score"]
     )
 
 
 def ranks(scores, *, ascending=False):
-    return scores.select("id", "score", rank_by("score", ascending=ascending).alias("rank"))
+    return rank_by(scores, "score", ascending=ascending)[["id", "score", "rank"]]
 
 
 def test_ranks_descending(scores_df):
-    got = {r["id"]: r["rank"] for r in ranks(scores_df).collect()}
+    got = {r["id"]: r["rank"] for r in ranks(scores_df).to_dict("records")}
     assert got[0] == 1
     assert got[4] == 2
     assert got[3] == 5
 
 
 def test_ranks_tie_broken_by_id(scores_df):
-    got = {r["id"]: r["rank"] for r in ranks(scores_df).collect()}
+    got = {r["id"]: r["rank"] for r in ranks(scores_df).to_dict("records")}
     assert got[1] == 3
     assert got[2] == 4
 
 
 def test_ranks_ascending(scores_df):
-    got = {r["id"]: r["rank"] for r in ranks(scores_df, ascending=True).collect()}
+    got = {r["id"]: r["rank"] for r in ranks(scores_df, ascending=True).to_dict("records")}
     assert got[3] == 1
     assert got[0] == 5
 
 
-def test_ranks_oracle(spark, scores_df):
+def test_ranks_oracle(scores_df):
     assert_equivalent(
         ranks(scores_df),
         """
@@ -62,11 +63,11 @@ def test_top_k_larger_than_n(scores_df):
     assert len(top_k(scores_df, 99)) == 5
 
 
-def test_top_k_one_spark_job(scores_df, count_jobs):
-    """The names travel with the scores, so the sorted limit is the only
-    job (two when the names of its rows were looked up afterwards)."""
-    scores = scores_df.localCheckpoint()
-    assert count_jobs(lambda: top_k(scores, 3)) == 1
+def test_top_k_starts_no_spark_job(scores_df, count_jobs):
+    """The scores and their names are already on the driver, so top-k is
+    a pandas sort (one job when it was a sorted ``limit`` over a Spark
+    frame)."""
+    assert count_jobs(lambda: top_k(scores_df, 3)) == 0
 
 
 def test_top_k_oracle(scores_df):

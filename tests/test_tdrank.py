@@ -1,4 +1,5 @@
 """2DRank: the square sweep, its reference, and the full pipeline."""
+import pandas as pd
 import pytest
 
 from tests.graphs import BOWTIE, STAR_IN, random_digraph
@@ -14,41 +15,41 @@ from repro.reference import (
 RANDOM_A = random_digraph(12, 0.25, seed=7)
 
 
-def _score_df(spark, k, kstar):
+def _score_df(k, kstar):
     """``(id, name, score_0, score_1)`` whose ranks, largest score first,
     are ``k`` and ``kstar``."""
-    return spark.createDataFrame(
+    return pd.DataFrame(
         [(v, f"n{v}", -float(k[v]), -float(kstar[v])) for v in k],
-        "id long, name string, score_0 double, score_1 double",
+        columns=["id", "name", "score_0", "score_1"],
     )
 
 
-def test_combine_ranks_diagonal(spark):
+def test_combine_ranks_diagonal():
     k = {0: 1, 1: 2, 2: 3}
-    out = combine_ranks(_score_df(spark, k, k))
-    got = {r["id"]: r["rank"] for r in out.collect()}
+    out = combine_ranks(_score_df(k, k))
+    got = {r["id"]: r["rank"] for r in out.to_dict("records")}
     assert got == k
-    assert {r["id"]: r["name"] for r in out.collect()} == {v: f"n{v}" for v in k}
+    assert {r["id"]: r["name"] for r in out.to_dict("records")} == {v: f"n{v}" for v in k}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_combine_ranks_matches_reference_on_permutations(spark, seed):
+def test_combine_ranks_matches_reference_on_permutations(seed):
     import numpy as np
 
     rng = np.random.default_rng(seed)
     n = 8
     k = {i: int(r) + 1 for i, r in enumerate(rng.permutation(n))}
     kstar = {i: int(r) + 1 for i, r in enumerate(rng.permutation(n))}
-    out = combine_ranks(_score_df(spark, k, kstar))
-    got = {r["id"]: r["rank"] for r in out.collect()}
+    out = combine_ranks(_score_df(k, kstar))
+    got = {r["id"]: r["rank"] for r in out.to_dict("records")}
     assert got == twodrank_ref(k, kstar)
 
 
-def test_combine_ranks_is_permutation(spark):
+def test_combine_ranks_is_permutation():
     k = {0: 2, 1: 1, 2: 3, 3: 4}
     kstar = {0: 4, 1: 3, 2: 1, 3: 2}
-    out = combine_ranks(_score_df(spark, k, kstar))
-    assert sorted(r["rank"] for r in out.collect()) == [1, 2, 3, 4]
+    out = combine_ranks(_score_df(k, kstar))
+    assert sorted(r["rank"] for r in out.to_dict("records")) == [1, 2, 3, 4]
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def twod_random(spark):
     g = DiGraph.from_edges(spark, RANDOM_A)
     got = {
         r["id"]: r["rank"]
-        for r in twodrank(g, max_iter=60, tol=1e-10).collect()
+        for r in twodrank(g, max_iter=60, tol=1e-10).to_dict("records")
     }
     pr = ranks_ref(pagerank_ref(RANDOM_A))
     cr = ranks_ref(cheirank_ref(RANDOM_A))
@@ -87,14 +88,14 @@ def test_twodrank_produces_ranking_not_scores(spark):
 
 
 def test_twodrank_collect_spark_jobs(spark, count_jobs):
-    """Both power iterations are lanes of one run (1 job), and both ranks
-    and the sweep are windows over its one-partition frame, so the collect
-    is 1 job with no exchange (4 jobs after the power iterations when the
-    two rank frames were joined)."""
+    """Both power iterations are lanes of one run, whose collect of the
+    graph is the only job: both ranks and the sweep are pandas sorts on
+    the driver (2 jobs when they were windows over a Spark frame, 4 after
+    the power iterations when the two rank frames were joined)."""
     from repro.graph.graph import DiGraph
 
     g = DiGraph.from_edges(spark, BOWTIE)
-    assert count_jobs(lambda: twodrank(g).collect()) <= 2
+    assert count_jobs(lambda: twodrank(g)) == 1
 
 
 def test_personalized_twodrank_matches_reference(spark):
@@ -103,7 +104,7 @@ def test_personalized_twodrank_matches_reference(spark):
     g = DiGraph.from_edges(spark, RANDOM_A)
     got = {
         r["id"]: r["rank"]
-        for r in personalized_twodrank(g, 5, max_iter=60, tol=1e-10).collect()
+        for r in personalized_twodrank(g, 5, max_iter=60, tol=1e-10).to_dict("records")
     }
     pr = ranks_ref(pagerank_ref(RANDOM_A, refs=[5]))
     cr = ranks_ref(pagerank_ref([(d, s) for s, d in RANDOM_A], refs=[5]))
@@ -117,13 +118,13 @@ def test_personalized_twodrank_star(spark):
 
     g = DiGraph.from_edges(spark, STAR_IN)
     out = personalized_twodrank(g, 0, max_iter=30)
-    assert sorted(r["rank"] for r in out.collect()) == [1, 2, 3, 4, 5]
+    assert sorted(r["rank"] for r in out.to_dict("records")) == [1, 2, 3, 4, 5]
 
 
-def test_ranks_helper_consistency(spark):
+def test_ranks_helper_consistency():
     """repro.core.ranking.rank_by (twodrank's ranks) agrees with ranks_ref
     on the same scores."""
     scores = {0: 0.4, 1: 0.1, 2: 0.4, 3: 0.9}
-    df = spark.createDataFrame(list(scores.items()), "id long, score double")
-    got = {r["id"]: r["rank"] for r in df.select("id", rank_by("score").alias("rank")).collect()}
+    df = pd.DataFrame(list(scores.items()), columns=["id", "score"])
+    got = {r["id"]: r["rank"] for r in rank_by(df, "score").to_dict("records")}
     assert got == ranks_ref(scores)
