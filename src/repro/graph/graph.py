@@ -7,10 +7,11 @@ vertex's ``id`` and ``name`` with its score or rank; none uses the RDD
 API.
 
 Every graph is built once, on the driver: :meth:`DiGraph.from_edges`
-dedups the edges and derives the vertex set in pandas, so a generated or
-uploaded graph reaches Spark as two one-partition frames parallelized
-from the driver, and the first action on it runs no dedup or join to
-construct it.
+dedups the edges and derives the vertex set in pandas, and
+:meth:`DiGraph.from_frames` hands the two frames to Spark, so a
+generated, uploaded or stored graph reaches Spark as two one-partition
+frames parallelized from the driver, and the first action on it runs no
+dedup or join to construct it.
 
 On graphs of this size a Spark job costs far more than the work on the
 graph, so an algorithm reads its graph with :func:`collect_graph`, one
@@ -90,9 +91,19 @@ class DiGraph:
         v = pd.DataFrame(
             {"id": ids, "name": [str(names.get(i, f"node_{i}")) for i in ids.tolist()]}
         )
+        return DiGraph.from_frames(spark, v, e)
+
+    @staticmethod
+    def from_frames(
+        spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
+    ) -> "DiGraph":
+        """Hand a driver-side vertex frame ``(id, name)`` and edge frame
+        ``(src, dst)`` to Spark as they are, one partition each; starts no
+        Spark job. The frames are copied into the session, so the graph
+        does not depend on where they came from."""
         return DiGraph(
-            vertices=spark.createDataFrame(v, VERTEX_SCHEMA).coalesce(1),
-            edges=spark.createDataFrame(e, EDGE_SCHEMA).coalesce(1),
+            vertices=spark.createDataFrame(vertices, VERTEX_SCHEMA).coalesce(1),
+            edges=spark.createDataFrame(edges, EDGE_SCHEMA).coalesce(1),
         )
 
     # -- basic properties ----------------------------------------------

@@ -1,32 +1,35 @@
 """Datastore: datasets, results and logs on the local filesystem.
 
 The paper's Datastore "is responsible for storing and managing
-datasets [and] provides storage for results and logs". Here:
+datasets [and] provides storage for results and logs". Here every file
+is written and read on the driver with pandas/pyarrow; Spark reads and
+writes none of them:
 
-- datasets are stored as two parquet directories (``vertices/``,
-  ``edges/``) written and read with Spark, with the graph's fixed
-  schemas, so loading one starts no Spark job. A loaded dataset is two
-  one-partition frames, as a graph built on the driver is, so a vertex
-  count or a Pregel superstep over it runs without an exchange. A
-  dataset's name is its directory under ``datasets/``, so it must be
-  one plain path component;
-- results are small top-k frames, stored as single parquet files via
-  pandas/pyarrow;
+- a dataset is two parquet directories (``vertices/``, ``edges/``), one
+  file each. Storing one reads the graph with :func:`collect_graph`, its
+  one Spark job, before it replaces the directory, so a graph loaded from
+  that very directory can be stored again. Loading one reads the files
+  into driver memory and hands them to Spark as two one-partition frames,
+  as :meth:`DiGraph.from_edges` does, with no Spark job; a loaded graph
+  keeps its frames after its dataset is overwritten. A dataset's name is
+  its directory under ``datasets/``, so it must be one plain path
+  component;
+- results are small top-k frames, stored as single parquet files;
 - logs are JSONL, append-only, one file per task.
 """
 from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.graph.graph import EDGE_SCHEMA, VERTEX_SCHEMA, DiGraph
+from repro.graph.graph import DiGraph, collect_graph
 
 #: The frames of a stored graph, in ``DiGraph`` field order.
-_FRAMES = (("vertices", VERTEX_SCHEMA), ("edges", EDGE_SCHEMA))
+_FRAMES = ("vertices", "edges")
 
 
 class Datastore:
@@ -47,17 +50,24 @@ class Datastore:
         return os.path.join(self.root, "datasets", name)
 
     def save_dataset(self, name: str, g: DiGraph) -> None:
-        """Persist a graph as vertices+edges parquet."""
+        """Persist a graph as one vertices and one edges parquet file.
+
+        The graph is read first (one Spark job) and only then replaces
+        whatever was stored under ``name``.
+        """
         d = self._dataset_dir(name)
-        for sub, schema in _FRAMES:
-            cast = (F.col(f.name).cast(f.dataType) for f in schema)
-            frame = getattr(g, sub).select(*cast)
-            frame.write.mode("overwrite").parquet(os.path.join(d, sub))
+        frames = collect_graph(g.vertices, g.edges)
+        if os.path.isdir(d):
+            shutil.rmtree(d)
+        for sub, frame in zip(_FRAMES, frames):
+            os.makedirs(os.path.join(d, sub))
+            frame.to_parquet(os.path.join(d, sub, "part-0.parquet"), index=False)
 
     def load_dataset(self, spark: SparkSession, name: str) -> DiGraph:
-        """Load a persisted graph as two one-partition frames, as
-        :meth:`DiGraph.from_edges` builds them (no Spark job: the schemas
-        are known).
+        """Load a persisted graph into driver memory and hand it to Spark
+        as two one-partition frames, as :meth:`DiGraph.from_edges` builds
+        them; starts no Spark job. The vertex frame is the stored one, not
+        re-derived from the edges.
 
         Raises:
             FileNotFoundError: if the dataset was never saved.
@@ -65,11 +75,8 @@ class Datastore:
         d = self._dataset_dir(name)
         if not os.path.isdir(d):
             raise FileNotFoundError(f"dataset {name!r} not in datastore")
-        return DiGraph(
-            *(
-                spark.read.schema(s).parquet(os.path.join(d, n)).coalesce(1)
-                for n, s in _FRAMES
-            )
+        return DiGraph.from_frames(
+            spark, *(pd.read_parquet(os.path.join(d, sub)) for sub in _FRAMES)
         )
 
     def has_dataset(self, name: str) -> bool:
