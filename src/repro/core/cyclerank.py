@@ -10,12 +10,10 @@ lies on every counted cycle and so receives the maximum score.
 distance K−1 of ``r`` *and* within backward distance K−1, so before
 enumerating we restrict the graph to the intersection of the two
 (K−1)-balls around ``r`` (the same pruning the reference C++
-implementation applies). The graph is read to the driver once
-(:func:`~repro.graph.graph.collect_graph`, one Spark job), and both
-balls come from one two-way BFS over its edges
-(:func:`~repro.pregel.engine.iterate_frontier`), which starts no job;
-the ball is the intersection of the two id sets. Nodes outside the ball
-score 0.
+implementation applies). Both balls come from one two-way BFS over the
+graph's edge frame, on the driver
+(:func:`~repro.pregel.engine.iterate_frontier`); the ball is the
+intersection of the two id sets. Nodes outside the ball score 0.
 
 **Enumeration.** The pruned ball is local to ``r`` and small, so a
 depth-first search over its induced edges, on the driver, counts the
@@ -23,19 +21,17 @@ simple cycles through ``r``. Every such cycle has exactly one representation
 as a path ``r → v₁ → … → v_{n-1} → r`` with distinct ``vᵢ ≠ r``; the
 search extends a path only to nodes not on it, and the stack is at most
 K deep. σ is applied on the driver, and the scores are a pandas frame
-over the vertices that the same read brought there, so a CycleRank task
-is this one Spark job.
+over the graph's vertex frame, so a CycleRank task starts no Spark job.
 """
 from __future__ import annotations
 
-import operator
 from collections import Counter
 
 import pandas as pd
 
 from repro.core.scoring import ScoringFn, get_scoring
-from repro.graph.graph import DiGraph, collect_graph
-from repro.pregel.engine import iterate_frontier
+from repro.graph.graph import DiGraph
+from repro.pregel.engine import integer, iterate_frontier
 
 
 def prune_to_k_ball(g: DiGraph, ref: int, k: int) -> tuple[pd.DataFrame, set[int], pd.DataFrame]:
@@ -43,18 +39,18 @@ def prune_to_k_ball(g: DiGraph, ref: int, k: int) -> tuple[pd.DataFrame, set[int
     (a superset of all nodes on cycles of length ≤ k through ``ref``),
     and their induced edges.
 
-    One Spark job reads ``g`` (:func:`~repro.graph.graph.collect_graph`).
+    Reads ``g``'s pandas frames on the driver.
 
     Returns:
-        ``(vertices, ids, edges)``: every vertex of ``g``, as pandas
-        ``(id, name)``; the ball's vertex ids (a vertex may have no
+        ``(vertices, ids, edges)``: every vertex of ``g``, its pandas
+        ``(id, name)`` frame; the ball's vertex ids (a vertex may have no
         induced edge); and pandas ``(src, dst)``, the edges with both
         ends in ``ids``.
 
     Raises:
         KeyError: ``ref`` is not a vertex of ``g``.
     """
-    vertices, edges = collect_graph(g.vertices, g.edges)
+    vertices, edges = g.vertex_frame, g.edge_frame
     if not (vertices["id"] == ref).any():
         raise KeyError(f"reference node {ref} not in graph")
     fwd, bwd = iterate_frontier([ref], edges, max_depth=k - 1)
@@ -98,22 +94,17 @@ def cycle_counts(g: DiGraph, ref: int, k: int = 3) -> tuple[pd.DataFrame, pd.Dat
         k: maximum cycle length (edges), an integer ``k > 1``.
 
     Returns:
-        ``(vertices, counts)``: every vertex of ``g``, as pandas ``(id,
-        name)`` from the same read, and pandas ``(id, length,
-        n_cycles)``, one row per node and cycle length with a nonzero
-        count. Nodes on no cycle are absent from ``counts``.
+        ``(vertices, counts)``: every vertex of ``g``, its pandas ``(id,
+        name)`` frame, and pandas ``(id, length, n_cycles)``, one row per
+        node and cycle length with a nonzero count. Nodes on no cycle are
+        absent from ``counts``.
 
     Raises:
-        TypeError: ``ref`` or ``k`` is not an integer, before any Spark
-            job runs.
-        ValueError: ``k < 2``, before any Spark job runs.
+        TypeError: ``ref`` or ``k`` is not an integer, or is a ``bool``.
+        ValueError: ``k < 2``.
         KeyError: ``ref`` is not a vertex of ``g``.
     """
-    ref = operator.index(ref)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
+    ref, k = integer(ref, "ref"), integer(k, "k")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     vertices, _, edges = prune_to_k_ball(g, ref, k)
@@ -149,9 +140,8 @@ def cyclerank(
         maximum.
 
     Raises:
-        ValueError: unknown σ name or ``k < 2``, before any Spark job.
-        TypeError: ``ref`` or ``k`` is not an integer, before any Spark
-            job.
+        ValueError: unknown σ name or ``k < 2``.
+        TypeError: ``ref`` or ``k`` is not an integer, or is a ``bool``.
         KeyError: ``ref`` is not a vertex of ``g``.
     """
     weight = get_scoring(sigma)

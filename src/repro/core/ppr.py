@@ -13,7 +13,7 @@ from typing import Iterable
 
 import pandas as pd
 
-from repro.core.pagerank import _one_lane
+from repro.core.pagerank import MAX_ITER, _one_lane
 from repro.graph.graph import DiGraph
 
 
@@ -22,7 +22,7 @@ def personalized_pagerank(
     refs: int | Iterable[int],
     *,
     alpha: float = 0.85,
-    max_iter: int = 50,
+    max_iter: int = MAX_ITER,
     tol: float = 1e-8,
 ) -> pd.DataFrame:
     """Personalized PageRank around one or more reference nodes.
@@ -46,7 +46,7 @@ def personalized_cheirank(
     refs: int | Iterable[int],
     *,
     alpha: float = 0.85,
-    max_iter: int = 50,
+    max_iter: int = MAX_ITER,
     tol: float = 1e-8,
 ) -> pd.DataFrame:
     """Personalized CheiRank: PPR on the transposed graph."""

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 import pandas as pd
 
-from repro.core.pagerank import _power_iteration
+from repro.core.pagerank import MAX_ITER, _power_iteration
 from repro.core.ranking import rank_by
 from repro.graph.graph import DiGraph
 
@@ -51,7 +51,7 @@ def combine_ranks(scores: pd.DataFrame) -> pd.DataFrame:
 
 
 def twodrank(
-    g: DiGraph, *, alpha: float = 0.85, max_iter: int = 50, tol: float = 1e-8
+    g: DiGraph, *, alpha: float = 0.85, max_iter: int = MAX_ITER, tol: float = 1e-8
 ) -> pd.DataFrame:
     """Global 2DRank: square sweep over PageRank × CheiRank ranks, whose
     two power iterations run as two lanes of one pregel run."""
@@ -64,7 +64,7 @@ def personalized_twodrank(
     refs: int | Iterable[int],
     *,
     alpha: float = 0.85,
-    max_iter: int = 50,
+    max_iter: int = MAX_ITER,
     tol: float = 1e-8,
 ) -> pd.DataFrame:
     """Personalized 2DRank: square sweep over PPR × personalized-CheiRank

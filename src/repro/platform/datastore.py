@@ -6,14 +6,12 @@ is written and read on the driver with pandas/pyarrow; Spark reads and
 writes none of them:
 
 - a dataset is two parquet directories (``vertices/``, ``edges/``), one
-  file each. Storing one reads the graph with :func:`collect_graph`, its
-  one Spark job, before it replaces the directory, so a graph loaded from
-  that very directory can be stored again. Loading one reads the files
-  into driver memory and hands them to Spark as two one-partition frames,
-  as :meth:`DiGraph.from_edges` does, with no Spark job; a loaded graph
-  keeps its frames after its dataset is overwritten. A dataset's name is
-  its directory under ``datasets/``, so it must be one plain path
-  component;
+  file each: the graph's two pandas frames, written as they are. Loading
+  one reads both files into a :class:`DiGraph` on the driver, so a loaded
+  graph keeps its frames after its dataset is overwritten, and a graph
+  loaded from a directory can be stored to it again. Neither starts a
+  Spark job. A dataset's name is its directory under ``datasets/``, so it
+  must be one plain path component;
 - results are small top-k frames, stored as single parquet files;
 - logs are JSONL, append-only, one file per task.
 """
@@ -26,9 +24,9 @@ import shutil
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graph.graph import DiGraph, collect_graph
+from repro.graph.graph import DiGraph
 
-#: The frames of a stored graph, in ``DiGraph`` field order.
+#: The directories of a stored graph's frames, in ``DiGraph`` field order.
 _FRAMES = ("vertices", "edges")
 
 
@@ -50,23 +48,18 @@ class Datastore:
         return os.path.join(self.root, "datasets", name)
 
     def save_dataset(self, name: str, g: DiGraph) -> None:
-        """Persist a graph as one vertices and one edges parquet file.
-
-        The graph is read first (one Spark job) and only then replaces
-        whatever was stored under ``name``.
-        """
+        """Persist a graph's two frames as one vertices and one edges
+        parquet file, replacing whatever was stored under ``name``."""
         d = self._dataset_dir(name)
-        frames = collect_graph(g.vertices, g.edges)
         if os.path.isdir(d):
             shutil.rmtree(d)
-        for sub, frame in zip(_FRAMES, frames):
+        for sub, frame in zip(_FRAMES, (g.vertex_frame, g.edge_frame)):
             os.makedirs(os.path.join(d, sub))
             frame.to_parquet(os.path.join(d, sub, "part-0.parquet"), index=False)
 
     def load_dataset(self, spark: SparkSession, name: str) -> DiGraph:
-        """Load a persisted graph into driver memory and hand it to Spark
-        as two one-partition frames, as :meth:`DiGraph.from_edges` builds
-        them; starts no Spark job. The vertex frame is the stored one, not
+        """Load a persisted graph into driver memory, as a graph whose
+        Spark view uses ``spark``. The vertex frame is the stored one, not
         re-derived from the edges.
 
         Raises:
@@ -75,9 +68,7 @@ class Datastore:
         d = self._dataset_dir(name)
         if not os.path.isdir(d):
             raise FileNotFoundError(f"dataset {name!r} not in datastore")
-        return DiGraph.from_frames(
-            spark, *(pd.read_parquet(os.path.join(d, sub)) for sub in _FRAMES)
-        )
+        return DiGraph(spark, *(pd.read_parquet(os.path.join(d, sub)) for sub in _FRAMES))
 
     def has_dataset(self, name: str) -> bool:
         """Whether a dataset with this name is stored."""

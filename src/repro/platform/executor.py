@@ -4,9 +4,9 @@ Holds the registry of the demo's seven algorithms. Each entry maps the
 algorithm name (as used in tasks) to a callable
 ``(DiGraph, **params) -> pd.DataFrame`` returning per-vertex pandas
 ``(id, name, score)``: the vertex's id and name from the graph's vertex
-frame, and its score. The graph read is a task's only Spark job: the
-scores stay on the driver with their names, so
-:func:`~repro.core.ranking.top_k` is a pandas sort. For the 2DRank pair,
+frame, and its score. The graph and the scores stay on the driver, so a
+task starts no Spark job and :func:`~repro.core.ranking.top_k` is a
+pandas sort. For the 2DRank pair,
 which "does not assign a score to each node, but just produces a
 ranking" (Section II), the rank is exposed as a descending pseudo-score
 ``-rank`` so every algorithm is top-k-able through the same interface.

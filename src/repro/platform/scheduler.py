@@ -9,7 +9,8 @@ parameters against the algorithm's signature, fetches the dataset from
 the datastore (or a registry generator if not yet stored), off-loads
 the computation to the :class:`~repro.platform.executor.Executor`, and
 writes the top-k result and ``done`` (DONE), or ``failed`` with the
-reason (FAILED), back to the datastore.
+reason (FAILED), back to the datastore. The graph, the scores and the
+result stay on the driver throughout, so a task starts no Spark job.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ class Scheduler:
 
         The task is read from its last ``submitted`` log event. An
         unknown algorithm or parameters its signature does not accept
-        fail before any dataset is fetched or Spark job started.
+        fail before any dataset is fetched.
 
         Returns the terminal state (DONE or FAILED); the failure reason
         is in the ``failed`` log event.

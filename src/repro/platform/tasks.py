@@ -26,7 +26,17 @@ class Task:
 
     @staticmethod
     def make(dataset: str, algorithm: str, **params) -> "Task":
-        """Build a task from keyword parameters (canonically ordered)."""
+        """Build a task from keyword parameters (canonically ordered).
+
+        Raises:
+            ValueError: a parameter value cannot be JSON-encoded; the
+                message names the parameter.
+        """
+        for name, value in params.items():
+            try:
+                json.dumps(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"parameter {name!r} cannot be JSON-encoded: {exc}") from None
         return Task(dataset, algorithm, tuple(sorted(params.items())))
 
     @property

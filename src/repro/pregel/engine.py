@@ -1,16 +1,16 @@
-"""A GraphX-Pregel-style superstep engine whose whole run is one Spark job.
+"""A GraphX-Pregel-style superstep engine that runs on the driver.
 
 GraphX is JVM-only and unavailable from PySpark without external
 packages, so this module reimplements the superstep model of Pregel
 (Malewicz et al., SIGMOD 2010) for graphs that fit on one machine:
 
-* **One collect, then the driver.** The graph is read with
-  :func:`~repro.graph.graph.collect_graph` (one Spark job, over Arrow),
-  and every superstep runs on the driver, in NumPy. On graphs of this
-  size a Spark job costs far more than the arithmetic of a superstep
-  (McSherry et al., "Scalability! But at what COST?", HotOS 2015), so
-  the engine pays for that one job and iterates where the data already
-  is. The final state stays there, as a pandas frame.
+* **The driver, no Spark job.** The engine takes the graph's pandas
+  frames, which never leave the driver
+  (:class:`~repro.graph.graph.DiGraph`), and runs every superstep there,
+  in NumPy. On graphs of this size a Spark job costs far more than the
+  arithmetic of a superstep (McSherry et al., "Scalability! But at what
+  COST?", HotOS 2015), so the engine iterates where the data already is.
+  The final state stays there, as a pandas frame.
 * **Arrays, not rows.** The vertex ids are sorted and the edges become
   two index arrays. A vertex program sends one message per vertex along
   each of its out-edges, and ``np.bincount`` over the edge indices sums
@@ -26,21 +26,19 @@ packages, so this module reimplements the superstep model of Pregel
   final L1 delta and how many of its seeds are not vertices, plus the
   vertex count, as plain Python values.
 
-The bounded BFS (:func:`iterate_frontier`) is not Spark code at all: it
-walks edge arrays the caller has already collected to the driver, as
-CycleRank does once per task, and starts no Spark job.
+The bounded BFS (:func:`iterate_frontier`) walks the same edge frame,
+as CycleRank does once per task. :func:`integer` is the integer check
+that ``pregel`` and the algorithms apply to their parameters.
 """
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-
-from repro.graph.graph import collect_graph
 
 #: ``program(ids, seed, out_degree) -> (x0, send, update)``: given the
 #: sorted vertex ids, each lane's seed mask and each lane's out-degrees
@@ -99,9 +97,18 @@ class PregelResult:
         return all(lane.converged for lane in self.lanes)
 
 
+def integer(value, name: str) -> int:
+    """``value`` as an int; raises ``TypeError`` naming ``name`` for a
+    ``bool`` (which Python counts as an int) or a non-integer."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def pregel(
-    vertices: DataFrame,
-    edges: DataFrame,
+    vertices: pd.DataFrame,
+    edges: pd.DataFrame,
     program: Program,
     *,
     lanes: Sequence[tuple[Collection[int] | None, bool]] = ((None, False),),
@@ -110,48 +117,43 @@ def pregel(
 ) -> PregelResult:
     """Run supersteps until every lane converges or ``max_iter``.
 
-    The whole run is one Spark job, the collect of the graph, whatever
-    the caller's partitioning; the supersteps run on the driver.
+    Every superstep runs on the driver; the run starts no Spark job.
 
     Args:
-        vertices: vertex frame ``(id, name)``; each vertex's name is
-            carried through the run to ``state`` unchanged.
-        edges: edge frame ``(src, dst)``; an edge with an endpoint that is
-            not a vertex is ignored.
+        vertices: pandas vertex frame ``(id, name)``; each vertex's name
+            is carried through the run to ``state`` unchanged.
+        edges: pandas edge frame ``(src, dst)``; an edge with an endpoint
+            that is not a vertex is ignored.
         program: the vertex program (:data:`Program`). ``x0`` may be
             1-D when there is one lane.
         lanes: per lane, ``(seeds, transposed)``: the lane's seed ids
             (``None``: every vertex is a seed), given to ``program`` as a
             mask, and whether the lane follows the reversed edges.
-        max_iter: superstep cap, at least 1.
-        tol: per-lane L1 convergence threshold, at least 0.
+        max_iter: superstep cap, an integer (not a ``bool``) of at least 1.
+        tol: per-lane L1 convergence threshold, a finite real of at least
+            0.
 
     Returns:
         A :class:`PregelResult`.
 
     Raises:
-        TypeError: ``max_iter`` is not an integer; raised before any
-            Spark job runs.
-        ValueError: ``max_iter < 1`` or ``tol < 0``; raised before any
-            Spark job runs.
+        TypeError: ``max_iter`` is not an integer, or is a ``bool``.
+        ValueError: ``max_iter < 1``, or ``tol`` is negative, NaN or
+            infinite.
     """
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise TypeError(f"max_iter must be an integer, got {max_iter!r}") from None
+    max_iter = integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+    if isinstance(tol, bool) or not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite real of at least 0, got {tol!r}")
     seeds = [None if s is None else np.unique(np.asarray(list(s), np.int64))
              for s, _ in lanes]
     transposed = [bool(t) for _, t in lanes]
     count = len(lanes)
-    v, e = collect_graph(vertices, edges)
-    ids, first = np.unique(v["id"].to_numpy(), return_index=True)
-    label = v["name"].to_numpy(object)[first]
+    ids, first = np.unique(vertices["id"].to_numpy(np.int64), return_index=True)
+    label = vertices["name"].to_numpy(object)[first]
     n = ids.size
-    src, dst = e["src"].to_numpy(), e["dst"].to_numpy()
+    src, dst = edges["src"].to_numpy(np.int64), edges["dst"].to_numpy(np.int64)
     keep = np.isin(src, ids) & np.isin(dst, ids)
     s, d = np.searchsorted(ids, src[keep]), np.searchsorted(ids, dst[keep])
     seed = np.array([np.ones(n, bool) if r is None else np.isin(ids, r) for r in seeds])
@@ -196,8 +198,8 @@ def iterate_frontier(
     ``seed`` following out-edges, and those following in-edges, expanded
     in the same loop.
 
-    Runs on the driver over the edge arrays, so it starts no Spark job;
-    the loop stops early once both frontiers are empty.
+    Runs on the driver over the edge arrays; the loop stops early once
+    both frontiers are empty.
 
     Args:
         seed: the seed vertex ids.

@@ -1,9 +1,9 @@
 """PageRank / CheiRank against the dense NumPy reference and closed forms,
 and the lanes and the vertex program of the shared power iteration.
 
-A power-iteration run is one Spark job whatever its superstep count, but
-a job still costs far more than the arithmetic, so each configuration is
-computed once in a module fixture and asserted many times.
+A power-iteration run starts no Spark job whatever its superstep count;
+each configuration is still computed once in a module fixture and
+asserted many times.
 """
 import os
 
@@ -21,6 +21,7 @@ from tests.graphs import (
 import repro.core.pagerank as pagerank_module
 from repro.core.pagerank import _power_iteration, cheirank, pagerank
 from repro.core.ppr import personalized_pagerank
+from repro.datasets.wikilink import wikilink
 from repro.graph.graph import DiGraph
 from repro.reference import cheirank_ref, pagerank_ref
 
@@ -110,9 +111,8 @@ def test_alpha_zero_uniform(spark):
 
 
 def test_empty_graph_raises(spark):
-    """No vertices: PageRank raises on the driver as before the one-task
-    engine (Spark may run no task at all for an input it knows is empty),
-    and PPR's reference is not present."""
+    """No vertices: PageRank raises that the graph has none, and PPR
+    that its reference is not present."""
     g = DiGraph.from_edges(spark, [])
     with pytest.raises(ValueError, match="no vertices"):
         pagerank(g)
@@ -170,23 +170,21 @@ SETUP_JOBS = 2
 
 
 def test_one_spark_job_per_superstep(spark, count_jobs):
-    """At most one Spark job per superstep: the whole run is the one
-    collect of the graph, with dangling mass and the L1 delta computed on
-    the driver (24 jobs when a superstep was an exchange plus a
-    checkpoint)."""
+    """At most one Spark job per superstep: the whole run is on the
+    driver, dangling mass and the L1 delta included (24 jobs when a
+    superstep was an exchange plus a checkpoint)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     jobs = count_jobs(lambda: pagerank(g, max_iter=10, tol=0.0))
     assert jobs <= 10 + SETUP_JOBS
 
 
 def test_spark_jobs_do_not_grow_with_supersteps(spark, count_jobs):
-    """PageRank after 10 or after 40 supersteps starts the same one job,
-    the engine's collect of the graph; the scores come back as a pandas
-    frame (13 and 43 jobs when each superstep was a job, 2 when the
-    scores went back to Spark to be collected)."""
+    """PageRank after 10 or after 40 supersteps starts no job: the engine
+    iterates over the graph's pandas frames (1 job when it collected the
+    graph from Spark, 13 and 43 when each superstep was a job)."""
     g = DiGraph.from_edges(spark, DANGLING_CHAIN)
     ten, forty = (count_jobs(lambda: pagerank(g, max_iter=m, tol=0.0)) for m in (10, 40))
-    assert ten == forty == 1
+    assert ten == forty == 0
 
 
 # -- lanes ----------------------------------------------------------------
@@ -257,3 +255,22 @@ def test_vertex_program_runs_on_the_driver(spark, monkeypatch):
     got = {r["id"]: r["score_0"] for r in rows}
     want = pagerank_ref(RANDOM_A, alpha=0.85)
     assert max(abs(got[v] - want[v]) for v in want) < 2e-5
+
+
+def test_default_cheirank_converges_on_wikilink(spark, monkeypatch):
+    """The default superstep cap lets CheiRank converge on the en
+    wikilink graph at bench scale (a cap of 50 stopped it at an L1 delta
+    near 2e-6, unconverged, and the task still ended DONE)."""
+    g = wikilink(spark, "en", 2018, scale=2.0).graph
+    pregel = pagerank_module.pregel
+    results = []
+
+    def kept(*args, **kwargs):
+        results.append(pregel(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pagerank_module, "pregel", kept)
+    cheirank(g)
+    (res,) = results
+    assert res.converged
+    assert res.iterations > 50

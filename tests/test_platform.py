@@ -1,6 +1,7 @@
 """The demo-platform substrate: tasks, datastore, executor, scheduler,
 status, gateway (Figure 1 / Section III request cycle)."""
 import os
+from decimal import Decimal
 
 import pandas as pd
 import pytest
@@ -10,7 +11,7 @@ from tests.graphs import BOWTIE
 from repro.datasets.wikilink import wikilink
 from repro.experiments.tables import table3, table3_column
 from repro.graph.formats import read_graph
-from repro.graph.graph import DiGraph, collect_graph
+from repro.graph.graph import DiGraph
 from repro.platform.datastore import Datastore
 from repro.platform.executor import ALGORITHMS, Executor
 from repro.platform.gateway import ApiGateway
@@ -74,7 +75,7 @@ def store(tmp_path):
 
 
 def _frames(g):
-    return collect_graph(g.vertices, g.edges)
+    return g.vertex_frame, g.edge_frame
 
 
 def test_datastore_dataset_roundtrip(spark, store):
@@ -95,9 +96,9 @@ def test_datastore_dataset_roundtrip(spark, store):
 
 
 def test_resaving_a_loaded_dataset_keeps_it(spark, store):
-    """Storing a graph loaded from the same name reads it before the old
-    files go (when Spark's overwrite deleted the files its lazy source
-    was reading, the store failed and left ``vertices/`` empty)."""
+    """Storing a graph loaded from the same name writes the frames it
+    holds in memory (when Spark's overwrite deleted the files its lazy
+    source was reading, the store failed and left ``vertices/`` empty)."""
     store.save_dataset("b", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
     before = _frames(store.load_dataset(spark, "b"))
     store.save_dataset("b", store.load_dataset(spark, "b"))
@@ -125,29 +126,31 @@ def test_datastore_load_starts_no_spark_job(spark, store, count_jobs):
     assert count_jobs(lambda: store.load_dataset(spark, "bowtie")) == 0
 
 
-def test_stored_dataset_vertex_count_one_spark_job(spark, store, count_jobs):
-    """A stored dataset loads as one partition, so counting its vertices
-    needs no exchange: one job (two when each parquet file was its own
-    partition)."""
+def test_stored_dataset_vertex_count_starts_no_spark_job(spark, store, count_jobs):
+    """A stored dataset loads into pandas frames, so counting its
+    vertices is their length: no job (one when the count ran on a Spark
+    frame, two when each parquet file was its own partition)."""
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
     g = store.load_dataset(spark, "bowtie")
-    assert count_jobs(g.num_vertices) == 1
+    assert count_jobs(g.num_vertices) == 0
 
 
 def test_generated_dataset_save_spark_jobs(spark, store, count_jobs):
-    """Storing a generated graph is one job, the graph read; pandas
-    writes both files (2 jobs when Spark wrote each frame)."""
+    """Storing a generated graph starts no job: pandas writes the two
+    frames the graph holds (1 job when the graph was read back from
+    Spark first, 2 when Spark wrote each frame)."""
     g = wikilink(spark, "en", 2018, scale=0.2).graph
-    assert count_jobs(lambda: store.save_dataset("wikilink-en-2018", g)) == 1
+    assert count_jobs(lambda: store.save_dataset("wikilink-en-2018", g)) == 0
 
 
 def test_upload_read_and_save_spark_jobs(spark, store, count_jobs, tmp_path):
-    """An upload is parsed on the driver and stored with one job, the
-    graph read (2 jobs when Spark wrote each frame)."""
+    """An upload is parsed and stored on the driver with no job (1 when
+    the graph was read back from Spark first, 2 when Spark wrote each
+    frame)."""
     p = tmp_path / "bowtie.csv"
     p.write_text("".join(f"{s},{d}\n" for s, d in BOWTIE))
     jobs = count_jobs(lambda: store.save_dataset("bowtie", read_graph(spark, str(p))))
-    assert jobs == 1
+    assert jobs == 0
     assert store.load_dataset(spark, "bowtie").num_edges() == len(BOWTIE)
 
 
@@ -379,21 +382,75 @@ TASK_PARAMS = {
     ids=[*TASK_PARAMS, "cyclerank-k5"],
 )
 def test_every_task_is_one_spark_job(spark, tmp_path, count_jobs, algorithm, params):
-    """Every algorithm's task on a stored dataset is one job, the
-    algorithm's read of the graph: the scores stay on the driver as a
-    pandas frame, and top-k is a pandas sort that starts none (2 jobs
-    when the scores went back to Spark for a sorted ``limit``, 3 for a
-    power iteration and 5 to 7 for CycleRank before that)."""
+    """Every algorithm's task on a stored dataset starts no Spark job:
+    the loaded graph's pandas frames, the scores and the top-k sort all
+    stay on the driver (1 job when the algorithm read the graph back
+    from Spark, 2 when the scores went back to Spark for a sorted
+    ``limit``, 3 for a power iteration and 5 to 7 for CycleRank before
+    that)."""
     assert set(TASK_PARAMS) == set(ALGORITHMS)
     store = Datastore(str(tmp_path / "two"))
     store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
     sched = Scheduler(spark, store, top_k_size=3)
     tid = sched.submit(Task.make("bowtie", algorithm, **params))
-    assert count_jobs(lambda: sched.run(tid)) == 1
+    assert count_jobs(lambda: sched.run(tid)) == 0
     result = Status(store).result(tid)
     assert len(result) == 3
     names = {0: "zero", **{v: f"node_{v}" for v in range(1, 5)}}
     assert list(result["name"]) == [names[v] for v in result["id"]]
+
+
+def test_platform_never_hands_the_graph_to_spark(spark, tmp_path, monkeypatch):
+    """With ``createDataFrame`` refused, a store, a load and a query set
+    of all seven algorithms still end DONE: the graph is never handed to
+    Spark (every graph reached Spark as two parallelized frames)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("createDataFrame called")
+
+    monkeypatch.setattr(spark, "createDataFrame", refuse)
+    gw = ApiGateway(spark, str(tmp_path / "driver"), top_k_size=3)
+    gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    assert gw.datastore.load_dataset(spark, "bowtie").num_edges() == len(BOWTIE)
+    tids = gw.submit_query_set([Task.make("bowtie", a, **p) for a, p in TASK_PARAMS.items()])
+    assert [gw.poll(tid)["state"] for tid in tids] == ["done"] * len(ALGORITHMS)
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, error",
+    [
+        ("pagerank", {"tol": float("nan")}, "ValueError: tol must be a finite real"),
+        ("pagerank", {"tol": float("inf")}, "ValueError: tol must be a finite real"),
+        ("pagerank", {"alpha": True}, "TypeError: alpha must be a real number, got True"),
+        ("pagerank", {"max_iter": True}, "TypeError: max_iter must be an integer, got True"),
+        ("personalized_pagerank", {"refs": [True]}, "TypeError: ref must be an integer, got True"),
+        ("cyclerank", {"refs": [True], "k": 3}, "TypeError: ref must be an integer, got True"),
+        ("cyclerank", {"refs": [0], "k": True}, "TypeError: k must be an integer, got True"),
+    ],
+    ids=["tol-nan", "tol-inf", "alpha-bool", "max-iter-bool", "ppr-ref-bool",
+         "cyclerank-ref-bool", "k-bool"],
+)
+def test_bad_parameter_fails_naming_it(spark, tmp_path, count_jobs, algorithm, params, error):
+    """A NaN or infinite ``tol`` and a ``bool`` where an int or a real is
+    expected end the task FAILED with a message naming the parameter,
+    with no Spark job and no result (a NaN ``tol`` ran every lane to the
+    cap, and ``True`` ran as 1)."""
+    gw = ApiGateway(spark, str(tmp_path / "probe"), top_k_size=3)
+    gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    tids = []
+    task = Task.make("bowtie", algorithm, **params)
+    assert count_jobs(lambda: tids.extend(gw.submit_query_set([task]))) == 0
+    poll = gw.poll(tids[0])
+    assert poll["state"] == "failed"
+    assert poll["error"].startswith(error)
+    assert not poll["has_result"]
+
+
+def test_task_make_rejects_a_value_json_cannot_encode():
+    """A parameter JSON cannot encode raises ``ValueError`` naming it (a
+    ``TypeError`` escaped ``submit_query_set`` from the permalink hash)."""
+    with pytest.raises(ValueError, match="parameter 'alpha' cannot be JSON-encoded"):
+        Task.make("bowtie", "pagerank", alpha=Decimal("0.5"))
 
 
 @pytest.mark.parametrize("bad", [1.5, "1) OR (1=1"])

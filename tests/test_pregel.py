@@ -1,4 +1,4 @@
-"""Tests for the one-job pregel engine and bounded BFS."""
+"""Tests for the driver-side pregel engine and bounded BFS."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,15 +7,13 @@ from tests.graphs import BOWTIE, CYCLE4, DANGLING_CHAIN, DISCONNECTED
 from repro.pregel.engine import iterate_frontier, pregel
 
 
-def _vertices(spark, ids):
+def _vertices(ids):
     ids = list(ids)
-    frame = pd.DataFrame({"id": ids, "name": [f"v{i}" for i in ids]})
-    return spark.createDataFrame(frame, "id long, name string")
+    return pd.DataFrame({"id": ids, "name": [f"v{i}" for i in ids]}).astype({"id": "int64"})
 
 
-def _edges(spark, edges):
-    frame = pd.DataFrame(edges, columns=["src", "dst"])
-    return spark.createDataFrame(frame, "src long, dst long")
+def _edges(edges):
+    return pd.DataFrame(edges, columns=["src", "dst"], dtype="int64")
 
 
 def _values(res):
@@ -33,55 +31,55 @@ def _rotate(init: dict[int, float]):
     return program
 
 
-def _run(spark, init, edges, **kw):
-    return pregel(_vertices(spark, init), _edges(spark, edges), _rotate(init), **kw)
+def _run(init, edges, **kw):
+    return pregel(_vertices(init), _edges(edges), _rotate(init), **kw)
 
 
-def test_one_superstep_rotates_cycle(spark):
+def test_one_superstep_rotates_cycle():
     """On a 4-cycle, 'send my value' + 'become the message' is a rotation."""
-    res = _run(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
+    res = _run({0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
     got = _values(res)
     assert got == {0: 4.0, 1: 1.0, 2: 2.0, 3: 3.0}
     assert res.iterations == 1
 
 
-def test_state_carries_vertex_names(spark):
+def test_state_carries_vertex_names():
     """Each vertex's name comes back with its value; an edge endpoint
     without a vertex row adds no row."""
-    res = _run(spark, {0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
+    res = _run({0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
     assert dict(zip(res.state["id"], res.state["name"])) == {0: "v0", 1: "v1"}
 
 
-def test_four_supersteps_full_rotation(spark):
+def test_four_supersteps_full_rotation():
     init = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-    res = _run(spark, init, CYCLE4, max_iter=4, tol=0.0)
+    res = _run(init, CYCLE4, max_iter=4, tol=0.0)
     got = _values(res)
     assert got == init
 
 
-def test_convergence_stops_early(spark):
+def test_convergence_stops_early():
     """A fixpoint state converges on the first delta check."""
-    res = _run(spark, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, CYCLE4, max_iter=50, tol=1e-12)
+    res = _run({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, CYCLE4, max_iter=50, tol=1e-12)
     assert res.converged
     assert res.iterations == 1
     assert res.delta == pytest.approx(0.0)
 
 
-def test_max_iter_reached_reports_not_converged(spark):
-    res = _run(spark, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, CYCLE4, max_iter=3, tol=0.0)
+def test_max_iter_reached_reports_not_converged():
+    res = _run({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, CYCLE4, max_iter=3, tol=0.0)
     assert not res.converged
     assert res.iterations == 3
 
 
-def test_vertex_without_messages_keeps_update_semantics(spark):
+def test_vertex_without_messages_keeps_update_semantics():
     """Node 0 in the dangling chain receives no messages → its sum is 0."""
-    res = _run(spark, {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}, DANGLING_CHAIN, max_iter=1)
+    res = _run({0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}, DANGLING_CHAIN, max_iter=1)
     got = _values(res)
     assert got[0] == 0.0
     assert got[1] == 5.0
 
 
-def test_aggregator_seen_by_next_superstep(spark):
+def test_aggregator_seen_by_next_superstep():
     """A sum over the state of superstep S (the initial state for S=0) is
     what the vertex program sees in superstep S+1: every vertex becomes
     the total, 10 after one superstep and 40 after two."""
@@ -93,7 +91,7 @@ def test_aggregator_seen_by_next_superstep(spark):
         return ids + 1.0, (lambda x: x), become_total
 
     def run(max_iter):
-        return pregel(_vertices(spark, range(4)), _edges(spark, CYCLE4), program,
+        return pregel(_vertices(range(4)), _edges(CYCLE4), program,
                       max_iter=max_iter, tol=0.0)
 
     seen = [_values(run(1))[0]]
@@ -104,59 +102,42 @@ def test_aggregator_seen_by_next_superstep(spark):
     assert got == {0: 40.0, 1: 40.0, 2: 40.0, 3: 40.0}
 
 
-def test_messages_to_unknown_ids_dropped(spark):
+def test_messages_to_unknown_ids_dropped():
     """Edges into an id without a vertex row carry messages nowhere: the
     id does not appear in the next state."""
-    res = _run(spark, {0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
+    res = _run({0: 1.0, 1: 2.0}, [(0, 1), (1, 0), (1, 9)], max_iter=1)
     got = _values(res)
     assert got == {0: 2.0, 1: 1.0}
 
 
-def test_delta_exact_after_one_superstep(spark):
+def test_delta_exact_after_one_superstep():
     """Rotating 1, 2, 3, 4 on CYCLE4 changes the values by 3+1+1+1."""
-    res = _run(spark, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
+    res = _run({0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, CYCLE4, max_iter=1)
     assert res.delta == 6.0
     assert not res.converged
 
 
-def test_caller_partitioning_does_not_change_values(spark):
-    """Vertices and edges spread over 8 partitions give the values of the
-    one-partition run."""
-    init = {v: float(v + 1) for v in range(5)}
-
-    def run(parts):
-        res = pregel(
-            _vertices(spark, init).repartition(parts),
-            _edges(spark, BOWTIE).repartition(parts),
-            _rotate(init),
-            max_iter=3,
-            tol=0.0,
-        )
-        return _values(res)
-
-    assert run(8) == run(1)
-
-
-def test_whole_run_is_one_spark_job(spark, count_jobs):
-    """Every superstep runs on the driver after the one collect of the
-    graph: 1 and 30 supersteps start the same single job."""
+def test_whole_run_starts_no_spark_job(count_jobs):
+    """Every superstep runs on the driver over the pandas frames: 1 and
+    30 supersteps start no Spark job (one, the collect of the graph,
+    when the engine read Spark frames)."""
     init = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     for max_iter in (1, 30):
         res = []
-        assert count_jobs(lambda: res.append(_run(spark, init, CYCLE4, max_iter=max_iter,
-                                                    tol=0.0))) == 1
+        assert count_jobs(lambda: res.append(_run(init, CYCLE4, max_iter=max_iter,
+                                                    tol=0.0))) == 0
         assert res[0].iterations == max_iter
         assert res[0].num_vertices == 4
 
 
-def test_lanes_follow_their_direction_and_seeds(spark):
+def test_lanes_follow_their_direction_and_seeds():
     """A transposed lane rotates the other way; each lane's seed mask is
     its own and its unknown seeds are counted."""
 
     def program(ids, seed, out_degree):
         return np.where(seed, ids + 1.0, 0.0), (lambda x: x), (lambda x, msg: msg)
 
-    res = pregel(_vertices(spark, range(4)), _edges(spark, CYCLE4), program,
+    res = pregel(_vertices(range(4)), _edges(CYCLE4), program,
                  lanes=[(None, False), ([0, 9], True)], max_iter=1)
     state = res.state
     rows = {i: (a, b) for i, a, b in zip(state["id"], state["value_0"], state["value_1"])}
@@ -167,10 +148,10 @@ def test_lanes_follow_their_direction_and_seeds(spark):
 @pytest.mark.parametrize(
     "kw", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-9}, {"max_iter": 2.5}]
 )
-def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
+def test_bad_iteration_parameters_raise_before_spark(count_jobs, kw):
     """A bad value raises before any job; a non-integer ``max_iter`` is a
     ``TypeError``, not a failure inside the superstep loop."""
-    vertices, edges = _vertices(spark, [0]), _edges(spark, [(0, 0)])
+    vertices, edges = _vertices([0]), _edges([(0, 0)])
     error = ValueError if isinstance(kw.get("max_iter", 1), int) else TypeError
 
     def run():
@@ -183,11 +164,7 @@ def test_bad_iteration_parameters_raise_before_spark(spark, count_jobs, kw):
 # -- iterate_frontier ---------------------------------------------------
 
 
-def _edge_frame(edges):
-    return pd.DataFrame(edges, columns=["src", "dst"])
-
-
-CHAIN = _edge_frame([(0, 1), (1, 2), (2, 3), (3, 4)])
+CHAIN = _edges([(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 def test_frontier_depth_zero_is_seed():
@@ -209,7 +186,7 @@ def test_frontier_in_direction():
 
 
 def test_frontier_stops_at_component():
-    fwd, bwd = iterate_frontier([0], _edge_frame(DISCONNECTED), max_depth=10)
+    fwd, bwd = iterate_frontier([0], _edges(DISCONNECTED), max_depth=10)
     assert fwd == bwd == {0, 1}
 
 

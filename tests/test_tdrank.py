@@ -88,14 +88,14 @@ def test_twodrank_produces_ranking_not_scores(spark):
 
 
 def test_twodrank_collect_spark_jobs(spark, count_jobs):
-    """Both power iterations are lanes of one run, whose collect of the
-    graph is the only job: both ranks and the sweep are pandas sorts on
-    the driver (2 jobs when they were windows over a Spark frame, 4 after
-    the power iterations when the two rank frames were joined)."""
+    """Both power iterations are lanes of one run on the driver, and both
+    ranks and the sweep are pandas sorts: no job (1 when the run
+    collected the graph from Spark, 2 more when the ranks were windows
+    over a Spark frame, 4 when the two rank frames were joined)."""
     from repro.graph.graph import DiGraph
 
     g = DiGraph.from_edges(spark, BOWTIE)
-    assert count_jobs(lambda: twodrank(g)) == 1
+    assert count_jobs(lambda: twodrank(g)) == 0
 
 
 def test_personalized_twodrank_matches_reference(spark):
