@@ -6,17 +6,21 @@ is written and read on the driver with pandas/pyarrow; Spark reads and
 writes none of them:
 
 - a dataset is two parquet directories (``vertices/``, ``edges/``), one
-  file each: the graph's two pandas frames, written as they are. Loading
+  file each: the graph's two pandas frames, written as they are, and a
+  ``version`` file: the sha256 of the two parquet files, in hex. Loading
   one reads both files into a :class:`DiGraph` on the driver, so a loaded
   graph keeps its frames after its dataset is overwritten, and a graph
   loaded from a directory can be stored to it again. Neither starts a
-  Spark job. A dataset's name is its directory under ``datasets/``, so it
-  must be one plain path component;
+  Spark job. The version names the graph a task was computed on: storing
+  the same frames again gives the same version, any other graph another
+  one, and a dataset stored without it has none. A dataset's name is its
+  directory under ``datasets/``, so it must be one plain path component;
 - results are small top-k frames, stored as single parquet files;
 - logs are JSONL, append-only, one file per task.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -28,6 +32,8 @@ from repro.graph.graph import DiGraph
 
 #: The directories of a stored graph's frames, in ``DiGraph`` field order.
 _FRAMES = ("vertices", "edges")
+#: The file beside them that holds the dataset's version.
+_VERSION = "version"
 
 
 class Datastore:
@@ -47,15 +53,37 @@ class Datastore:
             raise ValueError(f"dataset name {name!r} is not one plain path component")
         return os.path.join(self.root, "datasets", name)
 
-    def save_dataset(self, name: str, g: DiGraph) -> None:
+    def save_dataset(self, name: str, g: DiGraph) -> str:
         """Persist a graph's two frames as one vertices and one edges
-        parquet file, replacing whatever was stored under ``name``."""
+        parquet file, replacing whatever was stored under ``name``.
+
+        Returns the dataset's version, which is also written to its
+        ``version`` file, last: a store cut short leaves no version, and
+        no task is served from a result on it.
+        """
         d = self._dataset_dir(name)
         if os.path.isdir(d):
             shutil.rmtree(d)
+        digest = hashlib.sha256()
         for sub, frame in zip(_FRAMES, (g.vertex_frame, g.edge_frame)):
+            data = frame.to_parquet(index=False)
+            digest.update(data)
             os.makedirs(os.path.join(d, sub))
-            frame.to_parquet(os.path.join(d, sub, "part-0.parquet"), index=False)
+            with open(os.path.join(d, sub, "part-0.parquet"), "wb") as fh:
+                fh.write(data)
+        version = digest.hexdigest()
+        with open(os.path.join(d, _VERSION), "w", encoding="ascii") as fh:
+            fh.write(version)
+        return version
+
+    def dataset_version(self, name: str) -> str | None:
+        """The version :meth:`save_dataset` wrote for ``name``, or ``None``
+        for a dataset that is not stored or was stored without one."""
+        try:
+            with open(os.path.join(self._dataset_dir(name), _VERSION), encoding="ascii") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
 
     def load_dataset(self, spark: SparkSession, name: str) -> DiGraph:
         """Load a persisted graph into driver memory, as a graph whose

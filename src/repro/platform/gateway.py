@@ -1,8 +1,9 @@
 """API gateway: the single entry point the Web UI talks to.
 
 Mediates between the user-facing request cycle and the internal
-components (Section III): builds tasks from query sets, routes them to
-the scheduler, and serves status/results by permalink id.
+components (Section III): stores uploaded graphs, builds tasks from
+query sets, routes them to the scheduler, and serves status/results by
+permalink id.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.registry import list_datasets
+from repro.graph import formats
 from repro.platform.datastore import Datastore
 from repro.platform.executor import Executor
 from repro.platform.scheduler import Scheduler
@@ -42,6 +44,20 @@ class ApiGateway:
     def datasets(self) -> list[str]:
         """Datasets offered in the UI dropdown (registry + uploads)."""
         return sorted(set(list_datasets()) | set(self.datastore.list_stored_datasets()))
+
+    def upload(self, name: str, path: str) -> str:
+        """Store the graph file at ``path`` as dataset ``name`` (the
+        demo's upload, Section IV-B), replacing any dataset of that name.
+
+        The format is inferred from the extension
+        (:func:`~repro.graph.formats.read_graph`). Returns the dataset's
+        version.
+
+        Raises:
+            ValueError: the file does not parse, its format is unknown, or
+                ``name`` is not one plain path component.
+        """
+        return self.datastore.save_dataset(name, formats.read_graph(self.scheduler.spark, path))
 
     def algorithms(self) -> list[str]:
         """Algorithms offered in the UI dropdown."""

@@ -11,6 +11,8 @@ the computation to the :class:`~repro.platform.executor.Executor`, and
 writes the top-k result and ``done`` (DONE), or ``failed`` with the
 reason (FAILED), back to the datastore. The graph, the scores and the
 result stay on the driver throughout, so a task starts no Spark job.
+A task re-submitted by its permalink whose stored result still holds
+(see :meth:`Scheduler.run`) is served from that result and runs nothing.
 """
 from __future__ import annotations
 
@@ -46,6 +48,13 @@ STATE_OF_EVENT = {
 }
 
 
+def _qualified_name(fn) -> str | None:
+    """``module.qualname`` of an algorithm's callable, or ``None`` for a
+    callable object that has none."""
+    name = getattr(fn, "__qualname__", None)
+    return name and f"{fn.__module__}.{name}"
+
+
 class Scheduler:
     """Single-process scheduler over a datastore and an executor."""
 
@@ -66,14 +75,15 @@ class Scheduler:
 
     # -- dataset fetch --------------------------------------------------
 
-    def _fetch_dataset(self, name: str) -> DiGraph:
-        """Load from the datastore, generating (and caching) from the
-        registry on first use — the 'fetches the dataset' step."""
+    def _fetch_dataset(self, name: str) -> tuple[DiGraph, str | None]:
+        """The graph and its version — the 'fetches the dataset' step. A
+        stored dataset is loaded; on first use the registry generates it,
+        it is stored, and the generated graph is returned, not read back."""
         if self.datastore.has_dataset(name):
-            return self.datastore.load_dataset(self.spark, name)
-        labeled = load_dataset(self.spark, name, scale=self.dataset_scale)
-        self.datastore.save_dataset(name, labeled.graph)
-        return self.datastore.load_dataset(self.spark, name)
+            version = self.datastore.dataset_version(name)
+            return self.datastore.load_dataset(self.spark, name), version
+        g = load_dataset(self.spark, name, scale=self.dataset_scale).graph
+        return g, self.datastore.save_dataset(name, g)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -90,32 +100,56 @@ class Scheduler:
         unknown algorithm or parameters its signature does not accept
         fail before any dataset is fetched.
 
+        A ``done`` event records what the result was computed from: the
+        task, the dataset's version, ``top_k_size`` and the qualified name
+        of the algorithm's callable. The task is served from its stored
+        result, loading and computing nothing, when its last terminal
+        event is ``done``, all four recorded values equal the current
+        ones and the result file exists; that ``done`` says ``reused:
+        true``. Anything else is computed again, and so is every task on a
+        dataset stored without a version or run by a callable object that
+        has no qualified name.
+
         Returns the terminal state (DONE or FAILED); the failure reason
         is in the ``failed`` log event.
 
         Raises:
             KeyError: ``tid`` was never submitted.
         """
-        submitted = [e for e in self.datastore.read_logs(tid)
-                     if e["event"] == "submitted"]
+        events = self.datastore.read_logs(tid)
+        submitted = [e for e in events if e["event"] == "submitted"]
         if not submitted:
             raise KeyError(tid)
         task = Task.from_json(submitted[-1]["task"])
+        ended = [e for e in events if e["event"] in ("done", "failed")]
         self.datastore.append_log(tid, "running")
         t0 = time.monotonic()
         try:
             fn = self.executor.algorithm(task.algorithm)
             inspect.signature(fn).bind(None, **task.kwargs)
-            g = self._fetch_dataset(task.dataset)
-            scores = fn(g, **task.kwargs)
-            self.datastore.save_result(tid, top_k(scores, self.top_k_size))
+            ran = {
+                "task": task.to_json(),
+                "version": self.datastore.dataset_version(task.dataset),
+                "top_k_size": self.top_k_size,
+                "algorithm_fn": _qualified_name(fn),
+            }
+            reused = (
+                None not in ran.values()
+                and bool(ended) and ended[-1]["event"] == "done"
+                and all(ended[-1].get(key) == value for key, value in ran.items())
+                and self.datastore.has_result(tid)
+            )
+            if not reused:
+                g, ran["version"] = self._fetch_dataset(task.dataset)
+                scores = fn(g, **task.kwargs)
+                self.datastore.save_result(tid, top_k(scores, self.top_k_size))
         except Exception as exc:  # noqa: BLE001 — terminal state captures all
             self.datastore.append_log(
                 tid, "failed", error=f"{type(exc).__name__}: {exc}"
             )
             return TaskState.FAILED
         self.datastore.append_log(
-            tid, "done", seconds=round(time.monotonic() - t0, 3)
+            tid, "done", seconds=round(time.monotonic() - t0, 3), reused=reused, **ran
         )
         return TaskState.DONE
 

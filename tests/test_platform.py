@@ -1,6 +1,7 @@
 """The demo-platform substrate: tasks, datastore, executor, scheduler,
 status, gateway (Figure 1 / Section III request cycle)."""
 import os
+import time
 from decimal import Decimal
 
 import pandas as pd
@@ -381,7 +382,7 @@ TASK_PARAMS = {
     [*TASK_PARAMS.items(), ("cyclerank", {"refs": [0], "k": 5})],
     ids=[*TASK_PARAMS, "cyclerank-k5"],
 )
-def test_every_task_is_one_spark_job(spark, tmp_path, count_jobs, algorithm, params):
+def test_every_task_starts_no_spark_job(spark, tmp_path, count_jobs, algorithm, params):
     """Every algorithm's task on a stored dataset starts no Spark job:
     the loaded graph's pandas frames, the scores and the top-k sort all
     stay on the driver (1 job when the algorithm read the graph back
@@ -525,6 +526,175 @@ def test_scheduler_caches_generated_dataset(spark, tmp_path):
         Task.make("twitter-cop27", "cheirank", max_iter=5)
     )
     assert Status(store).poll(tid)["state"] == "done"
+
+
+def test_first_touch_task_computes_on_the_graph_it_stored(spark, tmp_path, monkeypatch):
+    """A task on a dataset not yet stored generates and stores it, and
+    runs on the graph in hand: equal to what is stored, and never read
+    back (it was loaded again straight after the store)."""
+    store = Datastore(str(tmp_path / "first"))
+    sched = Scheduler(spark, store, dataset_scale=0.1, top_k_size=3)
+    seen = []
+    sched.executor.register("seen", lambda g, **kw: seen.append(g) or ALGORITHMS["pagerank"](g, **kw))
+    load = Datastore.load_dataset
+    loads = []
+    monkeypatch.setattr(Datastore, "load_dataset", lambda *a: loads.append(a) or load(*a))
+    tid = sched.submit_and_run(Task.make("twitter-cop27", "seen", max_iter=5))
+    assert Status(store).poll(tid)["state"] == "done"
+    assert loads == []
+    for got, stored in zip(_frames(seen[0]), _frames(store.load_dataset(spark, "twitter-cop27"))):
+        pd.testing.assert_frame_equal(got, stored)
+
+
+# -- re-submits are served from the stored result ----------------------
+
+
+def _counting(calls: list, *, fail_first: bool = False):
+    """PageRank that appends to ``calls`` each time it runs (and raises
+    the first time, with ``fail_first``)."""
+
+    def counted_pagerank(g, **kw):
+        calls.append(kw)
+        if fail_first and len(calls) == 1:
+            raise RuntimeError("first attempt fails")
+        return ALGORITHMS["pagerank"](g, **kw)
+
+    return counted_pagerank
+
+
+def _reuse_store(spark, tmp_path, fn):
+    """A scheduler over a store holding BOWTIE, with ``fn`` registered as
+    ``counted``."""
+    store = Datastore(str(tmp_path / "reuse"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE))
+    sched = Scheduler(spark, store, top_k_size=3)
+    sched.executor.register("counted", fn)
+    return store, sched
+
+
+def test_datastore_version_names_the_stored_graph(spark, store):
+    """The version is the sha256 of the two parquet files: the same
+    frames stored again give the same one, another graph another one."""
+    v = store.save_dataset("b", DiGraph.from_edges(spark, BOWTIE))
+    assert len(v) == 64 and store.dataset_version("b") == v
+    assert store.save_dataset("b", store.load_dataset(spark, "b")) == v
+    assert store.save_dataset("b", DiGraph.from_edges(spark, BOWTIE[:-1])) != v
+    assert store.dataset_version("ghost") is None
+
+
+def test_resubmitted_done_task_is_served_from_its_result(spark, tmp_path, count_jobs, monkeypatch):
+    """A DONE task submitted again loads no dataset, runs no algorithm,
+    starts no Spark job and leaves its result file as it was."""
+    calls = []
+    store, sched = _reuse_store(spark, tmp_path, _counting(calls))
+    task = Task.make("bowtie", "counted", max_iter=20)
+    tid = sched.submit_and_run(task)
+    path = os.path.join(store.root, "results", f"{tid}.parquet")
+    os.utime(path, ns=(10**9, 10**9))
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def refuse(*args):
+        raise AssertionError("dataset loaded")
+
+    monkeypatch.setattr(store, "load_dataset", refuse)
+    assert count_jobs(lambda: sched.submit_and_run(task)) == 0
+    assert calls == [{"max_iter": 20}]
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.stat(path).st_mtime_ns == 10**9
+    done = store.read_logs(tid)[-1]
+    assert done["event"] == "done" and done["reused"] is True
+    assert done["version"] == store.dataset_version("bowtie")
+    assert Status(store).poll(tid) == {"task_id": tid, "state": "done", "has_result": True}
+
+
+def _restore_another_graph(spark, store, sched, calls):
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE[:-1]))
+
+
+def _change_top_k_size(spark, store, sched, calls):
+    sched.top_k_size = 4
+
+
+def _replace_algorithm(spark, store, sched, calls):
+    def other_pagerank(g, **kw):
+        calls.append(kw)
+        return ALGORITHMS["pagerank"](g, **kw)
+
+    sched.executor.register("counted", other_pagerank)
+
+
+def _drop_version_file(spark, store, sched, calls):
+    os.remove(os.path.join(store.root, "datasets", "bowtie", "version"))
+
+
+@pytest.mark.parametrize(
+    "before, after, fail_first",
+    [
+        (None, _restore_another_graph, False),
+        (None, _change_top_k_size, False),
+        (None, _replace_algorithm, False),
+        (None, None, True),
+        (_drop_version_file, None, False),
+    ],
+    ids=["graph-restored", "top-k-size", "algorithm-replaced", "last-attempt-failed",
+         "no-version-file"],
+)
+def test_resubmitted_task_is_computed_again(spark, tmp_path, before, after, fail_first):
+    """A re-submit is computed again unless its last attempt ended DONE
+    on the same dataset version, ``top_k_size`` and algorithm; the new
+    ``done`` records the values it ran with."""
+    calls = []
+    store, sched = _reuse_store(spark, tmp_path, _counting(calls, fail_first=fail_first))
+    task = Task.make("bowtie", "counted", max_iter=20)
+    for change in (before, after):
+        if change is not None:
+            change(spark, store, sched, calls)
+        tid = sched.submit_and_run(task)
+    assert len(calls) == 2
+    done = store.read_logs(tid)[-1]
+    assert done["event"] == "done" and done["reused"] is False
+    assert done["version"] == store.dataset_version("bowtie")
+    assert done["top_k_size"] == sched.top_k_size == len(Status(store).result(tid))
+
+
+def test_clique_cyclerank_task_fails_within_a_second(spark, tmp_path):
+    """CycleRank on a 13-vertex clique at K=13 (about an hour of search)
+    ends FAILED within a second, naming K and the ball's size."""
+    store = Datastore(str(tmp_path / "clique"))
+    clique = [(a, b) for a in range(13) for b in range(13) if a != b]
+    store.save_dataset("k13", DiGraph.from_edges(spark, clique))
+    sched = Scheduler(spark, store)
+    tid = sched.submit(Task.make("k13", "cyclerank", refs=[0], k=13))
+    t0 = time.monotonic()
+    assert sched.run(tid) is TaskState.FAILED
+    assert time.monotonic() - t0 < 1.0
+    error = Status(store).poll(tid)["error"]
+    assert error.startswith("RuntimeError: cycle search for k=13 stopped after")
+    assert "13 vertices and 156 edges" in error
+
+
+def test_gateway_upload_returns_the_dataset_version(spark, tmp_path):
+    """An upload is read and stored through the gateway; uploading the
+    same graph again keeps its version, and a task re-submitted after an
+    upload of another graph under the name is computed on the new one."""
+    gw = ApiGateway(spark, str(tmp_path / "upload"), top_k_size=10)
+    first, other = tmp_path / "g.csv", tmp_path / "h.net"
+    first.write_text("".join(f"{s},{d}\n" for s, d in BOWTIE))
+    other.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    version = gw.upload("up", str(first))
+    assert version == gw.datastore.dataset_version("up")
+    assert "up" in gw.datasets()
+    assert gw.datastore.load_dataset(spark, "up").num_edges() == len(BOWTIE)
+    assert gw.upload("up", str(first)) == version
+    task = Task.make("up", "pagerank")
+    (tid,) = gw.submit_query_set([task])
+    assert len(gw.result(tid)) == 5
+    assert gw.upload("up", str(other)) != version
+    gw.submit_query_set([task])
+    assert sorted(gw.result(tid)["id"]) == [1, 2, 3]
+    assert gw.status.logs(tid)[-1]["reused"] is False
 
 
 # -- state lives in the datastore log -----------------------------------
