@@ -5,7 +5,9 @@ each over the local filesystem:
 
 - **edgelist CSV**: one ``src,dst`` pair per line, optional header.
 - **Pajek** ``.net``: ``*Vertices N`` followed by ``id "name"`` lines,
-  then ``*Arcs`` followed by ``src dst`` lines (1-indexed ids).
+  then ``*Arcs`` followed by ``src dst`` lines (1-indexed ids), or
+  ``*Arcslist`` followed by ``src dst1 dst2 ...`` lines, one arc per
+  ``dst``.
 - **ASD**: the CycleRank project's own format — a header line
   ``N M`` (vertex and edge counts) followed by ``M`` lines of
   0-indexed ``src dst`` pairs.
@@ -21,9 +23,11 @@ regex for Pajek's headers and vertex lines. A line reader, which checks
 every row as text, stays the definition of both formats: wherever the C
 pass refuses a file, or could read it otherwise (a sign, decimal point
 or exponent in an id, a quote, a ``%`` inside an arc line, a tab before
-a vertex name, non-ASCII digits), the line reader decides, so a file is
-accepted, and an error names its line, exactly as the line reader alone
-would do.
+a vertex name, non-ASCII digits, an arc list section), the line reader
+decides, so a file is accepted, and an error names its line, exactly as
+the line reader alone would do. The ASD reader is one ``read_csv`` whose
+rows a regex checks first for a decimal point or exponent in an id,
+which pandas would cast to an integer.
 """
 from __future__ import annotations
 
@@ -132,18 +136,23 @@ _CONTENT = re.compile(r"^[^\S\n]*[^\s%]", re.M)
 #: after its start, or a sign, decimal point or exponent in an endpoint.
 _ODD_ARC = re.compile(r"^[^\S\n]*(?:[^\s%][^\n]*%|\S*[+.eE]|\S+[^\S\n]+\S*[+.eE])", re.M)
 _INT64_MAX = np.iinfo(np.int64).max
+#: The headers of arc list sections, whose lines are ``src dst1 dst2 ...``.
+_ARC_LISTS = ("*arcslist", "*edgeslist")
 
 
 def read_pajek(spark: SparkSession, path: str) -> DiGraph:
-    """Read a Pajek ``.net`` file (``*Vertices N``, then ``*Arcs``; ids
-    are 1-indexed, so every id lies in ``1..N``). Fields after an arc's
-    two endpoints (a weight, say) are ignored.
+    """Read a Pajek ``.net`` file (``*Vertices N``, then ``*Arcs`` or
+    ``*Arcslist``; ids are 1-indexed, so every id lies in ``1..N``).
+    Fields after an arc's two endpoints (a weight, say) are ignored; an
+    arc list line ``src dst1 dst2 ...`` is one arc per ``dst``.
+    ``*Edges`` and ``*Edgeslist`` read as ``*Arcs`` and ``*Arcslist``.
 
     Raises:
         ValueError: naming the line, if ``*Vertices`` gives no count, an
-            arc comes before it, a vertex line does not start with an id
-            or an arc line with two, or an id is not an integer in
-            ``1..N``; or if the file has no arcs.
+            arc comes before it, a vertex line does not start with an id,
+            an arc line with two or an arc list line is not two or more
+            ids, or an id is not an integer in ``1..N``; or if the file
+            has no arcs.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -162,7 +171,8 @@ def _pajek_frames(text: str) -> tuple[pd.DataFrame, dict[int, str]] | None:
     _, *parts = _SECTION.split(text)
     heads = [h.strip().lower() for h in parts[::2]]
     if (len(heads) < 2 or not heads[0].startswith("*vertices")
-            or not all(h.startswith(("*arcs", "*edges")) for h in heads[1:])):
+            or not all(h.startswith(("*arcs", "*edges")) and not h.startswith(_ARC_LISTS)
+                       for h in heads[1:])):
         return None
     count = parts[0].split()
     if len(count) < 2 or not count[1].isdecimal():
@@ -217,6 +227,8 @@ def _pajek_lines(path: str, text: str) -> tuple[list[tuple[int, int]], dict[int,
                 if len(head) < 2 or not head[1].isdecimal():
                     raise ValueError("'*Vertices' needs a vertex count")
                 n, section = int(head[1]), "vertices"
+            elif low.startswith(_ARC_LISTS):
+                section = "arc list"
             elif low.startswith(("*arcs", "*edges")):
                 section = "arcs"
             elif section == "vertices":
@@ -226,6 +238,10 @@ def _pajek_lines(path: str, text: str) -> tuple[list[tuple[int, int]], dict[int,
             elif section == "arcs":
                 src, dst = _pajek_ids(line.split()[:2], n, count=2)
                 edges.append((src, dst))
+            elif section == "arc list":
+                fields = line.split()
+                src, *dsts = _pajek_ids(fields, n, count=max(2, len(fields)))
+                edges.extend((src, dst) for dst in dsts)
         except ValueError as e:
             raise ValueError(
                 f"pajek file {path}, line {lineno} {line!r}: {e}"
@@ -236,7 +252,8 @@ def _pajek_lines(path: str, text: str) -> tuple[list[tuple[int, int]], dict[int,
 
 
 def _pajek_ids(fields: list[str], n: int | None, *, count: int = 1) -> list[int]:
-    """``fields`` as ``count`` vertex ids in ``1..n``, else ``ValueError``."""
+    """``fields`` as vertex ids in ``1..n``, at least ``count`` of them,
+    else ``ValueError``."""
     if n is None:
         raise ValueError("no '*Vertices N' line before it")
     if len(fields) < count or not all(f.isdecimal() for f in fields):
@@ -249,21 +266,37 @@ def _pajek_ids(fields: list[str], n: int | None, *, count: int = 1) -> list[int]
 
 # -- ASD ----------------------------------------------------------------
 
+#: An ASD arc line with a decimal point or an exponent in its first or
+#: second field: pandas casts ``1.0``, ``1.`` and ``1e0`` to int64.
+_ASD_FLOAT_ID = re.compile(r"^[^\S\n]*(?:\S*[.eE]|\S+[^\S\n]+\S*[.eE])[^\n]*", re.M)
+
 
 def read_asd(spark: SparkSession, path: str) -> DiGraph:
     """Read an ASD file: header ``N M`` then M 0-indexed ``src dst`` lines.
 
     The first two fields of an arc line are its ``src`` and ``dst``;
     fields after them (a weight, say) are ignored.
+
+    Raises:
+        ValueError: the header is not ``N M``, an endpoint has a decimal
+            point or an exponent (naming the line), the file does not
+            hold M arcs, or an endpoint lies outside ``0..N-1``.
     """
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 2:
             raise ValueError(f"ASD header must be 'N M', got {head!r}")
         n, m = int(head[0]), int(head[1])
-        pdf = pd.read_csv(
-            fh, sep=r"\s+", names=["src", "dst"], usecols=[0, 1], dtype="int64", header=None
+        body = fh.read()
+    if any(c in body for c in ".eE") and (bad := _ASD_FLOAT_ID.search(body)):
+        lineno = body.count("\n", 0, bad.start()) + 2
+        raise ValueError(
+            f"ASD file {path}, line {lineno} {bad.group().strip()!r}: expected 2 integer ids"
         )
+    pdf = pd.read_csv(
+        io.StringIO(body), sep=r"\s+", names=["src", "dst"], usecols=[0, 1], dtype="int64",
+        header=None,
+    )
     if len(pdf) != m:
         raise ValueError(f"ASD header declared {m} edges, file has {len(pdf)}")
     ends = pdf[["src", "dst"]].to_numpy()

@@ -15,6 +15,20 @@ writes none of them:
   the same frames again gives the same version, any other graph another
   one, and a dataset stored without it has none. A dataset's name is its
   directory under ``datasets/``, so it must be one plain path component;
+- a dataset is read from disk once per process. The module keeps one
+  write-through map, dataset directory (real path) → (version, vertex
+  frame, edge frame): :meth:`Datastore.save_dataset` enters the frames
+  it wrote under the version it returns, and
+  :meth:`Datastore.load_dataset` serves an entry whose version equals
+  the ``version`` file, reading no parquet, and otherwise reads both
+  files and enters them. A store by another datastore or process over
+  the same directory changes the version, so the next load reads it
+  again; a dataset without a version file is read each time and never
+  entered. The map holds one entry per dataset directory this process
+  stored or loaded, and a re-store replaces it: no size bound, expiry
+  or setting is needed for graphs of this size (under 1 MB each). A
+  served graph shares the entry's frames, which is safe because a
+  graph's frames are read-only;
 - results are small top-k frames, stored as single parquet files;
 - logs are JSONL, append-only, one file per task.
 """
@@ -34,6 +48,10 @@ from repro.graph.graph import DiGraph
 _FRAMES = ("vertices", "edges")
 #: The file beside them that holds the dataset's version.
 _VERSION = "version"
+
+#: Dataset directory (real path) -> (version, vertex frame, edge frame):
+#: the frames last stored to or read from it in this process.
+_GRAPHS: dict[str, tuple[str, pd.DataFrame, pd.DataFrame]] = {}
 
 
 class Datastore:
@@ -59,13 +77,16 @@ class Datastore:
 
         Returns the dataset's version, which is also written to its
         ``version`` file, last: a store cut short leaves no version, and
-        no task is served from a result on it.
+        no task is served from a result on it. Copies of the frames, as
+        a load would read them back, are then entered in the process's
+        graph map under that version.
         """
         d = self._dataset_dir(name)
         if os.path.isdir(d):
             shutil.rmtree(d)
         digest = hashlib.sha256()
-        for sub, frame in zip(_FRAMES, (g.vertex_frame, g.edge_frame)):
+        frames = (g.vertex_frame, g.edge_frame)
+        for sub, frame in zip(_FRAMES, frames):
             data = frame.to_parquet(index=False)
             digest.update(data)
             os.makedirs(os.path.join(d, sub))
@@ -74,6 +95,7 @@ class Datastore:
         version = digest.hexdigest()
         with open(os.path.join(d, _VERSION), "w", encoding="ascii") as fh:
             fh.write(version)
+        _GRAPHS[os.path.realpath(d)] = (version, *(f.reset_index(drop=True) for f in frames))
         return version
 
     def dataset_version(self, name: str) -> str | None:
@@ -90,13 +112,26 @@ class Datastore:
         Spark view uses ``spark``. The vertex frame is the stored one, not
         re-derived from the edges.
 
+        The frames come from the process's graph map when its entry for
+        the directory has the version the ``version`` file holds, and
+        from the two parquet files otherwise; a versioned read is then
+        entered. The version is read before the files, so a store that
+        lands between the two reads leaves an entry whose version is
+        older than its frames, and the next load reads the files again.
+
         Raises:
             FileNotFoundError: if the dataset was never saved.
         """
         d = self._dataset_dir(name)
         if not os.path.isdir(d):
             raise FileNotFoundError(f"dataset {name!r} not in datastore")
-        return DiGraph(spark, *(pd.read_parquet(os.path.join(d, sub)) for sub in _FRAMES))
+        key, version = os.path.realpath(d), self.dataset_version(name)
+        entry = _GRAPHS.get(key)
+        if version is None or entry is None or entry[0] != version:
+            entry = (version, *(pd.read_parquet(os.path.join(d, sub)) for sub in _FRAMES))
+            if version is not None:
+                _GRAPHS[key] = entry
+        return DiGraph(spark, *entry[1:])
 
     def has_dataset(self, name: str) -> bool:
         """Whether a dataset with this name is stored."""

@@ -6,12 +6,14 @@ datastore (:data:`STATE_OF_EVENT`), so any scheduler or Status over the
 same store sees it. ``submit`` logs ``submitted`` with the task JSON
 (PENDING). ``run`` reads the task back, logs ``running``, checks the
 parameters against the algorithm's signature, fetches the dataset from
-the datastore (or a registry generator if not yet stored), off-loads
-the computation to the :class:`~repro.platform.executor.Executor`, and
-writes the top-k result and ``done`` (DONE), or ``failed`` with the
-reason (FAILED), back to the datastore. The graph, the scores and the
-result stay on the driver throughout, so a task starts no Spark job.
-A task re-submitted by its permalink whose stored result still holds
+the datastore (on first touch a registry generator makes it and it is
+stored first, so every task's graph comes from one
+``Datastore.load_dataset``, which serves it from memory while the
+stored version holds), off-loads the computation to the
+:class:`~repro.platform.executor.Executor`, and writes the top-k result
+and ``done`` (DONE), or ``failed`` with the reason (FAILED), back to the
+datastore. The graph, the scores and the result stay on the driver
+throughout, so a task starts no Spark job. A task re-submitted by its permalink whose stored result still holds
 (see :meth:`Scheduler.run`) is served from that result and runs nothing.
 """
 from __future__ import annotations
@@ -76,14 +78,16 @@ class Scheduler:
     # -- dataset fetch --------------------------------------------------
 
     def _fetch_dataset(self, name: str) -> tuple[DiGraph, str | None]:
-        """The graph and its version — the 'fetches the dataset' step. A
-        stored dataset is loaded; on first use the registry generates it,
-        it is stored, and the generated graph is returned, not read back."""
-        if self.datastore.has_dataset(name):
-            version = self.datastore.dataset_version(name)
-            return self.datastore.load_dataset(self.spark, name), version
-        g = load_dataset(self.spark, name, scale=self.dataset_scale).graph
-        return g, self.datastore.save_dataset(name, g)
+        """The graph and its version — the 'fetches the dataset' step.
+        On first touch the registry generates the dataset and it is
+        stored; then it is loaded, which the store's write-through entry
+        serves from memory. The version is read before the graph, so it
+        is never newer than the graph it is recorded with."""
+        if not self.datastore.has_dataset(name):
+            self.datastore.save_dataset(
+                name, load_dataset(self.spark, name, scale=self.dataset_scale).graph)
+        version = self.datastore.dataset_version(name)
+        return self.datastore.load_dataset(self.spark, name), version
 
     # -- lifecycle ------------------------------------------------------
 

@@ -190,6 +190,24 @@ def test_asd_negative_endpoint_raises(spark, tmp_path):
         read_asd(spark, str(p))
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 2\n0 1.0\n1e0 2\n", "line 2 '0 1.0'"),
+        ("3 2\n0 1\n1. 2\n", "line 3 '1. 2'"),
+        ("3 2\n0 1\n\n  1e0 2 0.5\n", "line 4 '1e0 2 0.5'"),
+    ],
+    ids=["decimal-point", "trailing-point", "exponent"],
+)
+def test_asd_float_endpoint_raises_naming_the_line(spark, tmp_path, text, line):
+    """An endpoint written as a float is refused, as the CSV and Pajek
+    readers refuse it, not cast to an integer id."""
+    p = tmp_path / "f.asd"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"{line}: expected 2 integer ids"):
+        read_asd(spark, str(p))
+
+
 # -- dispatch -----------------------------------------------------------
 
 
@@ -343,10 +361,13 @@ def test_edgelist_refuses(spark, tmp_path, text, match):
          [(1, 2), (2, 1)], None),
         ("*vertices 2\n*arcsList\n 1\t2 \n", [(1, 2)], None),
         ("*Vertices 2\n*Arcs\n1 2 3\n2 1\n", [(1, 2), (2, 1)], None),
+        ("*Vertices 3\n*Arcslist\n1 2 3\n", [(1, 2), (1, 3)], None),
+        ("*Vertices 3\n*Edgeslist\n1 2 3\n% c\n3  1\n*Arcs\n2 3 1\n",
+         [(1, 2), (1, 3), (3, 1), (2, 3)], None),
     ],
     ids=["unquoted-and-missing-names", "renamed-vertex", "non-ascii-digits",
          "two-arc-sections", "text-before-vertices", "comment-and-weights",
-         "lowercase-headers", "ragged-weights"],
+         "lowercase-headers", "ragged-weights", "arcs-list", "edges-list-then-arcs"],
 )
 def test_pajek_accepts(spark, tmp_path, text, edges, names):
     p = tmp_path / "ok.net"
@@ -369,9 +390,13 @@ def test_pajek_accepts(spark, tmp_path, text, edges, names):
         ("*Vertices 2\n*Arcs\n1 2\n*Network x\n", "line 4 '.Network x': expected 2 integer"),
         ("*Vertices 2\n*Arcs\n-1 2\n", "line 3 '-1 2': expected 2 integer"),
         ("*Vertices 2\n*Vertices x\n*Arcs\n1 2\n", "line 2 '.Vertices x': .* needs a vertex count"),
+        ("*Vertices 3\n*Arcslist\n1 2 0.5\n", "line 3 '1 2 0.5': expected 3 integer"),
+        ("*Vertices 3\n*Arcslist\n1 2 4\n", "line 3 '1 2 4': id outside 1..3"),
+        ("*Vertices 3\n*Arcslist\n1\n", "line 3 '1': expected 2 integer"),
     ],
     ids=["plus-sign", "float-id", "exponent-id", "percent-in-field", "quoted-id",
-         "tab-before-name", "unknown-section", "negative-id", "second-bad-vertices"],
+         "tab-before-name", "unknown-section", "negative-id", "second-bad-vertices",
+         "arc-list-weight", "arc-list-id-out-of-range", "arc-list-without-target"],
 )
 def test_pajek_refuses(spark, tmp_path, text, match):
     p = tmp_path / "bad.net"

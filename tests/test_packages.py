@@ -1,6 +1,7 @@
 """Package layout: a dotted path always names the module itself, Spark
-reads and writes no file of the package, and only the graph's Spark view
-and the oracle move frames between pandas and Spark."""
+reads and writes no file of the package, only the datastore reads and
+writes parquet, and only the graph's Spark view and the oracle move
+frames between pandas and Spark."""
 import importlib
 import inspect
 import pathlib
@@ -17,6 +18,9 @@ SPARK_ROUND_TRIP = re.compile(r"createDataFrame|toPandas")
 #: The modules allowed to cross: the graph's Spark view, and the oracle,
 #: which accepts Spark inputs.
 ROUND_TRIP_MODULES = {"graph/graph.py", "oracle.py"}
+
+#: A parquet file read or written with pandas.
+PARQUET_IO = re.compile(r"read_parquet|to_parquet")
 
 
 def test_submodules_are_not_shadowed_by_reexports():
@@ -51,3 +55,10 @@ def test_no_layer_hands_frames_between_pandas_and_spark():
     the oracle, no module hands a frame to Spark or collects one back, so
     no layer brings back a Spark round trip."""
     assert _hits(SPARK_ROUND_TRIP, ROUND_TRIP_MODULES) == []
+
+
+def test_only_the_datastore_reads_or_writes_parquet():
+    """Datasets and results are stored as parquet by the datastore alone,
+    so no layer reads a dataset around its in-memory copy or writes one
+    that the copy would not see."""
+    assert _hits(PARQUET_IO, {"platform/datastore.py"}) == []

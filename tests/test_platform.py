@@ -1,6 +1,7 @@
 """The demo-platform substrate: tasks, datastore, executor, scheduler,
 status, gateway (Figure 1 / Section III request cycle)."""
 import os
+import shutil
 import time
 from decimal import Decimal
 
@@ -9,6 +10,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from tests.graphs import BOWTIE
+from repro.datasets import registry
 from repro.datasets.wikilink import wikilink
 from repro.experiments.tables import table3, table3_column
 from repro.graph.formats import read_graph
@@ -192,6 +194,124 @@ def test_datastore_logs_append_and_read(store):
     logs = store.read_logs("t1")
     assert [e["event"] for e in logs] == ["submitted", "done"]
     assert store.read_logs("other") == []
+
+
+# -- a stored dataset is read from disk once per process ----------------
+
+
+def _refuse_parquet_reads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parquet file read")
+
+    monkeypatch.setattr(pd, "read_parquet", refuse)
+
+
+def _stored_frames(store, name):
+    """The dataset's two frames as its parquet files hold them."""
+    d = os.path.join(store.root, "datasets", name)
+    return tuple(pd.read_parquet(os.path.join(d, sub)) for sub in ("vertices", "edges"))
+
+
+def test_second_task_reads_no_parquet_file(spark, tmp_path, monkeypatch):
+    """Once a dataset is stored or loaded, a task on it reads no parquet
+    file, and its result equals that of a run which read the dataset
+    from disk (a copy of it under another root)."""
+    store = Datastore(str(tmp_path / "warm"))
+    store.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
+    cold = Datastore(str(tmp_path / "cold"))
+    shutil.copytree(os.path.join(store.root, "datasets", "bowtie"),
+                    os.path.join(cold.root, "datasets", "bowtie"))
+    task = Task.make("bowtie", "personalized_pagerank", refs=[0])
+    tids = [Scheduler(spark, cold, top_k_size=3).submit_and_run(task)]
+    sched = Scheduler(spark, store, top_k_size=3)
+    sched.submit_and_run(Task.make("bowtie", "pagerank"))
+    with monkeypatch.context() as m:
+        _refuse_parquet_reads(m)
+        tids.append(sched.submit_and_run(task))
+    assert [Status(s).poll(tid)["state"] for s, tid in zip((cold, store), tids)] == ["done"] * 2
+    pd.testing.assert_frame_equal(store.load_result(tids[1]), cold.load_result(tids[0]))
+
+
+def _store_through_a_second_datastore(spark, store):
+    Datastore(store.root).save_dataset("b", DiGraph.from_edges(spark, [(7, 8)]))
+
+
+def _replace_the_files(spark, store):
+    """What another process storing the dataset leaves on disk."""
+    other = Datastore(store.root + "-other")
+    other.save_dataset("b", DiGraph.from_edges(spark, [(7, 8)]))
+    d = os.path.join(store.root, "datasets", "b")
+    shutil.rmtree(d)
+    shutil.copytree(os.path.join(other.root, "datasets", "b"), d)
+
+
+@pytest.mark.parametrize("restore", [_store_through_a_second_datastore, _replace_the_files],
+                         ids=["second-datastore", "files-replaced"])
+def test_load_after_a_restore_returns_the_new_graph(spark, store, restore):
+    """A dataset stored again under its name by another datastore over
+    the same root, or replaced on disk, is what the next load returns:
+    the version file, not the graph in memory, decides."""
+    store.save_dataset("b", DiGraph.from_edges(spark, BOWTIE))
+    assert store.load_dataset(spark, "b").num_edges() == len(BOWTIE)
+    restore(spark, store)
+    v, e = _frames(store.load_dataset(spark, "b"))
+    assert list(zip(e["src"], e["dst"])) == [(7, 8)]
+    assert v["id"].tolist() == [7, 8]
+
+
+def test_dataset_without_version_is_read_each_time(spark, store, monkeypatch):
+    """A dataset stored without a version file is read from its parquet
+    files on every load, and no load is served from memory after it."""
+    store.save_dataset("b", DiGraph.from_edges(spark, BOWTIE))
+    os.remove(os.path.join(store.root, "datasets", "b", "version"))
+    read = pd.read_parquet
+    reads = []
+    monkeypatch.setattr(pd, "read_parquet", lambda path, **kw: reads.append(path) or read(path, **kw))
+    for _ in range(3):
+        assert store.load_dataset(spark, "b").num_edges() == len(BOWTIE)
+    assert len(reads) == 6
+
+
+def _bowtie(spark, tmp_path):
+    return DiGraph.from_edges(spark, BOWTIE, names={0: "zero"})
+
+
+def _upload(spark, tmp_path):
+    p = tmp_path / "up.net"
+    p.write_text('*Vertices 5\n1 "one"\n3 three\n*Arcs\n1 2 0.5\n2 3\n3 1\n4 5\n')
+    return read_graph(spark, str(p))
+
+
+def _registry(spark, tmp_path):
+    return registry.load_dataset(spark, "twitter-cop27", scale=0.1).graph
+
+
+@pytest.mark.parametrize("make", [_bowtie, _upload, _registry], ids=["bowtie", "upload", "registry"])
+def test_graph_served_from_memory_equals_its_parquet_files(spark, store, tmp_path, monkeypatch, make):
+    """The frames a store keeps in memory, which every later load serves,
+    equal those its parquet files read back as: dtypes and index too."""
+    store.save_dataset("g", make(spark, tmp_path))
+    on_disk = _stored_frames(store, "g")
+    with monkeypatch.context() as m:
+        _refuse_parquet_reads(m)
+        served = _frames(store.load_dataset(spark, "g"))
+    for got, want in zip(served, on_disk):
+        pd.testing.assert_frame_equal(got, want)
+
+
+def test_algorithms_leave_the_graph_in_memory_unchanged(spark, tmp_path, monkeypatch):
+    """A query set of all seven algorithms on a stored dataset leaves the
+    frames that loads serve from memory as they were stored."""
+    gw = ApiGateway(spark, str(tmp_path / "seven"), top_k_size=3)
+    gw.datastore.save_dataset("bowtie", DiGraph.from_edges(spark, BOWTIE, names={0: "zero"}))
+    tids = gw.submit_query_set([Task.make("bowtie", a, **p) for a, p in TASK_PARAMS.items()])
+    assert [gw.poll(tid)["state"] for tid in tids] == ["done"] * len(ALGORITHMS)
+    on_disk = _stored_frames(gw.datastore, "bowtie")
+    with monkeypatch.context() as m:
+        _refuse_parquet_reads(m)
+        served = _frames(gw.datastore.load_dataset(spark, "bowtie"))
+    for got, want in zip(served, on_disk):
+        pd.testing.assert_frame_equal(got, want)
 
 
 # -- executor -----------------------------------------------------------
@@ -529,20 +649,18 @@ def test_scheduler_caches_generated_dataset(spark, tmp_path):
 
 
 def test_first_touch_task_computes_on_the_graph_it_stored(spark, tmp_path, monkeypatch):
-    """A task on a dataset not yet stored generates and stores it, and
-    runs on the graph in hand: equal to what is stored, and never read
-    back (it was loaded again straight after the store)."""
+    """A task on a dataset not yet stored generates and stores it, then
+    loads it without reading a parquet file (the store keeps the frames
+    in memory), and runs on a graph equal to what is stored."""
     store = Datastore(str(tmp_path / "first"))
     sched = Scheduler(spark, store, dataset_scale=0.1, top_k_size=3)
     seen = []
     sched.executor.register("seen", lambda g, **kw: seen.append(g) or ALGORITHMS["pagerank"](g, **kw))
-    load = Datastore.load_dataset
-    loads = []
-    monkeypatch.setattr(Datastore, "load_dataset", lambda *a: loads.append(a) or load(*a))
-    tid = sched.submit_and_run(Task.make("twitter-cop27", "seen", max_iter=5))
+    with monkeypatch.context() as m:
+        _refuse_parquet_reads(m)
+        tid = sched.submit_and_run(Task.make("twitter-cop27", "seen", max_iter=5))
     assert Status(store).poll(tid)["state"] == "done"
-    assert loads == []
-    for got, stored in zip(_frames(seen[0]), _frames(store.load_dataset(spark, "twitter-cop27"))):
+    for got, stored in zip(_frames(seen[0]), _stored_frames(store, "twitter-cop27")):
         pd.testing.assert_frame_equal(got, stored)
 
 
